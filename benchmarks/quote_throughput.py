@@ -13,7 +13,12 @@ to that promise, and records what the warm path buys:
 * hot-reloads a second solution mid-stream and asserts the same for every
   post-reload response against the *new* solution, fingerprint-pinned;
 * measures sustained quotes/sec plus p50/p99 per-request latency under
-  concurrent load, and the cold-vs-warm single-request speedup;
+  concurrent load, and the cold-vs-warm single-request speedup, once on
+  the primary mixed menu (before the reload) and once on the pure
+  replacement (after it) — ``summary.throughput`` keys them by menu;
+* with ``--baseline OLD.json`` (a report from an earlier commit), embeds
+  that report's throughput figures and platform next to this run's, so a
+  before/after lives in one file;
 * with ``--workers N`` (N >= 2), additionally boots a supervised
   multi-process fleet (:class:`repro.serving.ServingSupervisor`) behind
   one socket and holds every HTTP-routed quote to the same bit-identity
@@ -87,6 +92,45 @@ def _identical(served, cold) -> bool:
     )
 
 
+async def _throughput_leg(server, solution, loads, concurrency: int) -> dict:
+    """Concurrent warm quotes of *loads* against the menu *server* now serves.
+
+    ``cold_quote_ms`` is the per-request ``solution.quote()`` with its
+    engine rebuild — the path the warm server replaces — on the same menu.
+    """
+    latencies: list[float] = []
+
+    async def client(blocks) -> None:
+        loop = asyncio.get_running_loop()
+        for rows in blocks:
+            started = loop.time()
+            await server.quote(rows)
+            latencies.append(loop.time() - started)
+
+    per_client = [loads[index::concurrency] for index in range(concurrency)]
+    started = time.perf_counter()
+    await asyncio.gather(*[client(blocks) for blocks in per_client])
+    wall = time.perf_counter() - started
+
+    cold_sample = loads[: min(len(loads), 50)]
+    started = time.perf_counter()
+    for rows in cold_sample:
+        solution.quote(rows)
+    cold_per_request = (time.perf_counter() - started) / len(cold_sample)
+    warm_per_request = wall / len(loads)
+
+    latencies.sort()
+    return {
+        "offers": len(solution.offers),
+        "quotes_per_second": round(len(loads) / wall, 1),
+        "latency_p50_ms": round(1e3 * statistics.median(latencies), 3),
+        "latency_p99_ms": round(1e3 * latencies[int(0.99 * (len(latencies) - 1))], 3),
+        "cold_quote_ms": round(1e3 * cold_per_request, 3),
+        "warm_quote_ms": round(1e3 * warm_per_request, 3),
+        "warm_speedup_x": round(cold_per_request / max(warm_per_request, 1e-9), 2),
+    }
+
+
 async def _run_serving(args, primary, replacement, n_items, report) -> bool:
     rng = np.random.default_rng(7)
     server = QuoteServer(
@@ -110,6 +154,17 @@ async def _run_serving(args, primary, replacement, n_items, report) -> bool:
         )
         batched_any = any(quote.batched for quote in served)
 
+        # ------------------------------------- throughput, primary (mixed)
+        # Own generator: the reload and components legs keep their rows.
+        mixed_loads = _requests(
+            np.random.default_rng(8), args.throughput_requests, n_items
+        )
+        throughput = {
+            "mixed_greedy": await _throughput_leg(
+                server, primary, mixed_loads, args.concurrency
+            )
+        }
+
         # ------------------------------------------------------ hot reload
         with tempfile.TemporaryDirectory() as scratch:
             path = Path(scratch) / "replacement.json"
@@ -129,35 +184,12 @@ async def _run_serving(args, primary, replacement, n_items, report) -> bool:
             and all(quote.fingerprint == current for quote in reloaded)
         )
 
-        # ------------------------------------------------------ throughput
-        latencies: list[float] = []
-        loads = _requests(rng, args.throughput_requests, n_items)
+        # -------------------------- throughput, replacement (pure components)
+        throughput["components"] = await _throughput_leg(
+            server, replacement, _requests(rng, args.throughput_requests, n_items),
+            args.concurrency,
+        )
 
-        async def client(blocks) -> None:
-            loop = asyncio.get_running_loop()
-            for rows in blocks:
-                started = loop.time()
-                await server.quote(rows)
-                latencies.append(loop.time() - started)
-
-        per_client = [
-            loads[index :: args.concurrency] for index in range(args.concurrency)
-        ]
-        started = time.perf_counter()
-        await asyncio.gather(*[client(blocks) for blocks in per_client])
-        wall = time.perf_counter() - started
-
-        # Cold baseline: per-request ``solution.quote()`` with its engine
-        # rebuild, the path the warm server replaces.
-        cold_sample = loads[: min(len(loads), 50)]
-        started = time.perf_counter()
-        for rows in cold_sample:
-            replacement.quote(rows)
-        cold_wall = time.perf_counter() - started
-        cold_per_request = cold_wall / len(cold_sample)
-        warm_per_request = wall / len(loads)
-
-        latencies.sort()
         report["summary"] = {
             "identity_requests": len(requests) + len(reload_requests),
             "bit_identical": mismatches == 0 and reload_mismatches == 0,
@@ -165,16 +197,9 @@ async def _run_serving(args, primary, replacement, n_items, report) -> bool:
             "reload_mismatches": reload_mismatches,
             "fingerprints_coherent": fingerprint_ok and reload_fingerprint_ok,
             "batched_responses_seen": batched_any,
-            "throughput_requests": len(loads),
+            "throughput_requests": args.throughput_requests,
             "concurrency": args.concurrency,
-            "quotes_per_second": round(len(loads) / wall, 1),
-            "latency_p50_ms": round(1e3 * statistics.median(latencies), 3),
-            "latency_p99_ms": round(
-                1e3 * latencies[int(0.99 * (len(latencies) - 1))], 3
-            ),
-            "cold_quote_ms": round(1e3 * cold_per_request, 3),
-            "warm_quote_ms": round(1e3 * warm_per_request, 3),
-            "warm_speedup_x": round(cold_per_request / max(warm_per_request, 1e-9), 2),
+            "throughput": throughput,
             "gate": "every served quote bit-identical to solution.quote(), "
             "fingerprints coherent across reload",
         }
@@ -621,9 +646,21 @@ def main() -> int:
         help="run even on <2 cores (numbers then include scheduling "
         "contention; the CI gate runs on real cores)",
     )
+    parser.add_argument(
+        "--baseline", type=Path, default=None,
+        help="an earlier report (e.g. from the parent commit) whose throughput "
+        "figures are embedded as 'baseline' for a before/after comparison",
+    )
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
     args = parser.parse_args()
     report, code = build_report(args)
+    if args.baseline is not None and "summary" in report:
+        before = json.loads(args.baseline.read_text())
+        report["baseline"] = {
+            "source": args.baseline.name,
+            "platform": before.get("platform"),
+            "throughput": before.get("summary", {}).get("throughput"),
+        }
     args.output.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {args.output}")
     return code

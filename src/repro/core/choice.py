@@ -20,7 +20,7 @@ forest (sets of offers none of which contains another), and:
   generalization of Equation 6 (binary logit), to which it reduces for a
   single offer.
 
-Both are computed in O(#offers · M) via a *subtree state* recursion.  For
+Both are computed in O(#offers · M) arithmetic via a *subtree state*.  For
 every subtree, two per-consumer arrays suffice:
 
 =================  =============================  ==============================
@@ -35,8 +35,16 @@ in closed form: deterministically the consumer upgrades iff
 ``u_b ≥ score₁ + score₂``; stochastically the upgrade probability is
 ``σ(u_b − score₁ − score₂)`` because antichain utilities are additive and
 the partition function factorizes across sibling subtrees.  The same
-recursion powers the incremental mixed-merge pricing of Section 4.2, so
-gains measured during search agree exactly with the final evaluation.
+merge powers the incremental mixed-merge pricing of Section 4.2, so gains
+measured during search agree exactly with the final evaluation.
+
+A whole forest is evaluated through a :class:`ForestPlan`, compiled once
+per menu: nodes are grouped into levels by height, so every node of a
+level merges its (already final) children at once and the forest costs
+O(#levels) numpy calls rather than O(#offers).  Each per-consumer step is
+elementwise and every reduction keeps the order of a node-by-node walk,
+so the plan's results do not depend on how many consumers are priced
+together.
 
 Enumeration-based reference implementations (:func:`choose_mnl_enumerated`,
 :func:`enumerate_antichains`) are kept for cross-validation in the tests.
@@ -45,10 +53,11 @@ Enumeration-based reference implementations (:func:`choose_mnl_enumerated`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
-from repro.core.adoption import AdoptionModel
+from repro.core.adoption import AdoptionModel, decision_tolerance
 from repro.core.bundle import Bundle
 from repro.core.pricing import PricedBundle
 from repro.errors import ConfigurationError
@@ -150,10 +159,10 @@ class SubtreeState:
         return SubtreeState(self.score.astype(dtype), self.pay.astype(dtype))
 
 
-def singleton_state(wtp: np.ndarray, price: float, adoption: AdoptionModel) -> SubtreeState:
+def singleton_state(
+    wtp: np.ndarray, price: float, adoption: AdoptionModel
+) -> SubtreeState:
     """State of a leaf offer (a bundle offered with no sub-offers)."""
-    from repro.core.adoption import decision_tolerance
-
     utility = adoption.utility(wtp, price)
     if adoption.is_deterministic:
         take = utility >= -decision_tolerance(price)
@@ -179,6 +188,23 @@ def upgrade_probability(
     return _sigmoid(bundle_utility - base_score)
 
 
+def _cover(base_score, base_pay, bundle_utility, price, adoption: AdoptionModel):
+    """``(score, pay, take)`` once an offer ``(b, price)`` covers a base choice.
+
+    ``take`` is the probability that the consumer takes the covering offer;
+    a negative-utility offer is never taken under step choice, even over an
+    empty base.  Every step is elementwise, so *price* may be a scalar or a
+    column of per-offer prices broadcast against per-offer rows.
+    """
+    take = upgrade_probability(bundle_utility, base_score, adoption)
+    if adoption.is_deterministic:
+        taken = take.astype(bool) & (bundle_utility >= -decision_tolerance(price))
+        score = np.maximum(np.maximum(base_score, bundle_utility), 0.0)
+        return score, np.where(taken, price, base_pay), taken.astype(np.float64)
+    score = np.logaddexp(base_score, bundle_utility)
+    return score, take * price + (1.0 - take) * base_pay, take
+
+
 def merged_state(
     base: SubtreeState,
     bundle_utility: np.ndarray,
@@ -186,18 +212,7 @@ def merged_state(
     adoption: AdoptionModel,
 ) -> SubtreeState:
     """State of a subtree whose root offer ``(b, p)`` covers *base*."""
-    from repro.core.adoption import decision_tolerance
-
-    take = upgrade_probability(bundle_utility, base.score, adoption)
-    if adoption.is_deterministic:
-        score = np.maximum(base.score, bundle_utility)
-        # A negative-utility bundle is never taken even if base is empty.
-        score = np.maximum(score, 0.0)
-        taken = take.astype(bool) & (bundle_utility >= -decision_tolerance(price))
-        pay = np.where(taken, price, base.pay)
-        return SubtreeState(score, pay)
-    score = np.logaddexp(base.score, bundle_utility)
-    pay = take * price + (1.0 - take) * base.pay
+    score, pay, _take = _cover(base.score, base.pay, bundle_utility, price, adoption)
     return SubtreeState(score, pay)
 
 
@@ -219,6 +234,248 @@ class ChoiceOutcome:
         return float(self.payments.sum())
 
 
+@dataclass(frozen=True)
+class _Group:
+    """Equal-size bundles of one level: level positions ``[start, stop)``."""
+
+    start: int
+    stop: int
+    items: np.ndarray  # (stop - start, k) item indices, one bundle per row
+    scale: float  # Equation 1's interaction factor for k items
+
+
+@dataclass(frozen=True)
+class _Level:
+    """The nodes of one height: plan rows ``[lo, hi)``.
+
+    ``slots[j]`` holds the level positions of the nodes that have a j-th
+    child (``None`` when all of them do) and those children's plan rows.
+    ``parents`` holds each node's parent row; a root points one past the
+    last node, at the top-down pass's row of ones.
+    """
+
+    lo: int
+    hi: int
+    prices: np.ndarray  # (hi - lo, 1)
+    groups: tuple[_Group, ...]
+    slots: tuple[tuple[np.ndarray | None, np.ndarray], ...]
+    parents: np.ndarray
+
+
+#: Values per level temporary (2 MiB of float64) before the users are
+#: split into blocks.  Bounds the working set of a large evaluation below
+#: the node-by-node walk's; a quote batch of up to ~2,000 users against a
+#: 117-offer menu is a single block.
+_BLOCK_ELEMENTS = 1 << 18
+
+
+def _indices(values):
+    """*values* as an index array (``None`` stays ``None``)."""
+    return None if values is None else np.asarray(values, dtype=np.intp)
+
+
+class ForestPlan:
+    """A laminar offer forest compiled for level-by-level evaluation.
+
+    The nodes are numbered in postorder and grouped into levels by height
+    (leaves first); a node's children all sit in lower levels, so one pass
+    over the levels settles every subtree state.  Within a level the nodes
+    are grouped by bundle size, each group holding an ``(n_k, k)``
+    item-index matrix and its Equation-1 scale for :meth:`payments`.
+    Per-node arrays are node-major, ``(n_nodes, users)``, so each node's
+    buyer count is a contiguous row sum; large populations are priced in
+    blocks of users, since every user's choice is independent.
+
+    The results are bit-identical to walking the forest node by node:
+    per-consumer steps are elementwise, children fold left to right in
+    ``node.children`` order (missing child slots are skipped, never
+    zero-padded, since ``-0.0 + 0.0`` flips a sign bit), and roots fold
+    left to right in the given order.  ``theta`` fixes the scales that
+    :meth:`payments` applies to raw item sums; :meth:`evaluate` takes
+    bundle WTP from its caller instead.
+    """
+
+    def __init__(self, roots: list[OfferNode], theta: float = 0.0) -> None:
+        postorder: list[OfferNode] = []
+        heights: list[int] = []
+        parents: list[int] = []
+        children: list[list[int]] = []
+
+        def visit(node: OfferNode) -> int:
+            kids = [visit(child) for child in node.children]
+            index = len(postorder)
+            postorder.append(node)
+            heights.append(1 + max((heights[kid] for kid in kids), default=-1))
+            parents.append(-1)
+            children.append(kids)
+            for kid in kids:
+                parents[kid] = index
+            return index
+
+        root_indices = [visit(root) for root in roots]
+        order = sorted(
+            range(len(postorder)),
+            key=lambda index: (heights[index], postorder[index].bundle.size, index),
+        )
+        row_of = {index: row for row, index in enumerate(order)}
+        n_nodes = len(order)
+        self.nodes: tuple[OfferNode, ...] = tuple(postorder[index] for index in order)
+        self.roots: tuple[int, ...] = tuple(row_of[index] for index in root_indices)
+
+        def preorder(index: int):
+            yield row_of[index]
+            for kid in children[index]:
+                yield from preorder(kid)
+
+        self._preorder = tuple(row for index in root_indices for row in preorder(index))
+
+        levels: list[_Level] = []
+        lo = 0
+        for _height, level in groupby(order, key=heights.__getitem__):
+            members = list(level)
+            groups: list[_Group] = []
+            for size, group in groupby(members, key=lambda i: postorder[i].bundle.size):
+                bundles = [postorder[index].bundle.items for index in group]
+                start = groups[-1].stop if groups else 0
+                scale = 1.0 + theta if size >= 2 else 1.0
+                items = np.asarray(bundles, dtype=np.intp)
+                groups.append(_Group(start, start + len(bundles), items, scale))
+            slots = []
+            for slot in range(max(len(children[index]) for index in members)):
+                holders = [p for p, i in enumerate(members) if len(children[i]) > slot]
+                rows = [row_of[children[members[p]][slot]] for p in holders]
+                positions = holders if len(holders) < len(members) else None
+                slots.append((_indices(positions), _indices(rows)))
+            prices = [[postorder[index].offer.price] for index in members]
+            above = [n_nodes if parents[i] < 0 else row_of[parents[i]] for i in members]
+            levels.append(
+                _Level(
+                    lo=lo,
+                    hi=lo + len(members),
+                    prices=np.asarray(prices, dtype=np.float64),
+                    groups=tuple(groups),
+                    slots=tuple(slots),
+                    parents=_indices(above),
+                )
+            )
+            lo += len(members)
+        self.levels: tuple[_Level, ...] = tuple(levels)
+
+    def evaluate(self, wtp_of, adoption: AdoptionModel) -> ChoiceOutcome:
+        """Payments and per-offer buyers; ``wtp_of`` maps a bundle to its WTP.
+
+        Per-offer buyer counts come from a top-down pass, one level at a
+        time: P(node) = P(node | subtree) · P(no ancestor taken).
+        """
+        if not self.nodes:
+            return ChoiceOutcome(payments=np.zeros(0), buyers_per_offer={})
+        # One buffer, one row per node plus a row of ones (the roots'
+        # "alive" weight).  A node's row holds its WTP until its level is
+        # priced, and its take probability from then on.
+        first = wtp_of(self.nodes[0].bundle)
+        n_users = len(first)
+        take = np.empty((len(self.nodes) + 1, n_users))
+        take[0] = first
+        for row in range(1, len(self.nodes)):
+            take[row] = wtp_of(self.nodes[row].bundle)
+        take[-1] = 1.0
+
+        def block_wtp(users: slice):
+            return lambda level: take[level.lo : level.hi, users]
+
+        payments = self._bottom_up(block_wtp, adoption, n_users, take)
+        counts = np.zeros(len(self.nodes))
+        chunk = max(1, _BLOCK_ELEMENTS // max(1, n_users))
+        for level in reversed(self.levels):
+            for lo in range(level.lo, level.hi, chunk):
+                hi = min(lo + chunk, level.hi)
+                alive = take[level.parents[lo - level.lo : hi - level.lo]]
+                node_take = take[lo:hi]
+                counts[lo:hi] = (alive * node_take).sum(axis=1)
+                take[lo:hi] = alive * (1.0 - node_take)
+        buyers: dict[Bundle, float] = {}
+        for row in self._preorder:
+            bundle = self.nodes[row].bundle
+            buyers[bundle] = buyers.get(bundle, 0.0) + float(counts[row])
+        return ChoiceOutcome(payments=payments, buyers_per_offer=buyers)
+
+    def payments(self, matrix, adoption: AdoptionModel) -> np.ndarray:
+        """Per-consumer expected payments for the rows of a ``WTPMatrix``.
+
+        Bundle WTP is Equation 1 over *matrix*, one
+        :meth:`~repro.core.wtp.WTPMatrix.raw_sums` call per group; no
+        buyer counts are kept.
+        """
+        if not self.nodes:
+            return np.zeros(0)
+
+        def block_wtp(users: slice):
+            block = matrix
+            if users.stop - users.start < matrix.n_users:
+                block = matrix.subset_users(range(users.start, users.stop))
+
+            def level_wtp(level: _Level) -> np.ndarray:
+                wtp = np.empty((level.hi - level.lo, block.n_users))
+                for group in level.groups:
+                    raw = block.raw_sums(group.items)
+                    np.multiply(raw.T, group.scale, out=wtp[group.start : group.stop])
+                return wtp
+
+            return level_wtp
+
+        return self._bottom_up(block_wtp, adoption, matrix.n_users)
+
+    def _bottom_up(self, block_wtp, adoption, n_users: int, take=None) -> np.ndarray:
+        """Per-consumer payments, one block of users at a time.
+
+        ``block_wtp(users)`` returns the level-WTP function of a block of
+        users.  Each node's take probability is written into ``take`` when
+        given (after the block's WTP of that level has been read).  Blocks
+        keep every level temporary near :data:`_BLOCK_ELEMENTS` values; a
+        serving batch is one block.
+        """
+        payments = np.empty(n_users)
+        width = max(1, _BLOCK_ELEMENTS // len(self.nodes))
+        for start in range(0, n_users, width):
+            users = slice(start, min(start + width, n_users))
+            level_wtp = block_wtp(users)
+            score = np.empty((len(self.nodes), users.stop - users.start))
+            pay = np.empty_like(score)
+            for level in self.levels:
+                utility = adoption.utility(level_wtp(level), level.prices)
+                if level.slots:
+                    (_all, rows), *others = level.slots
+                    base_score, base_pay = score[rows], pay[rows]
+                    for positions, rows in others:
+                        if positions is None:
+                            base_score += score[rows]
+                            base_pay += pay[rows]
+                        else:
+                            base_score[positions] += score[rows]
+                            base_pay[positions] += pay[rows]
+                else:
+                    base_score = base_pay = np.zeros_like(utility)
+                node_score, node_pay, node_take = _cover(
+                    base_score, base_pay, utility, level.prices, adoption
+                )
+                score[level.lo : level.hi] = node_score
+                pay[level.lo : level.hi] = node_pay
+                if take is not None:
+                    take[level.lo : level.hi, users] = node_take
+            # Roots fold left to right, in the given order.
+            payments[users] = pay[self.roots[0]]
+            for row in self.roots[1:]:
+                payments[users] += pay[row]
+        return payments
+
+    def __repr__(self) -> str:
+        groups = sum(len(level.groups) for level in self.levels)
+        return (
+            f"ForestPlan({len(self.nodes)} offers, {len(self.roots)} roots, "
+            f"{len(self.levels)} levels, {groups} groups)"
+        )
+
+
 def evaluate_forest(
     roots: list[OfferNode], wtp_of, adoption: AdoptionModel
 ) -> ChoiceOutcome:
@@ -226,46 +483,10 @@ def evaluate_forest(
 
     ``wtp_of`` maps a :class:`Bundle` to the per-user WTP vector (the
     engine supplies Equation 1).  Works for deterministic and stochastic
-    adoption alike via the subtree-state recursion; per-offer buyer counts
-    come from a top-down pass (P(node) = P(node | subtree) · P(no ancestor
-    taken)).
+    adoption alike; see :class:`ForestPlan`, which callers that price one
+    menu repeatedly compile once.
     """
-    buyers: dict[Bundle, float] = {}
-    total_pay: np.ndarray | None = None
-
-    def bottom_up(node: OfferNode) -> tuple[SubtreeState, np.ndarray, list]:
-        utility = adoption.utility(wtp_of(node.bundle), node.offer.price)
-        if node.children:
-            child_results = [bottom_up(child) for child in node.children]
-            base = child_results[0][0]
-            for result in child_results[1:]:
-                base = base + result[0]
-        else:
-            child_results = []
-            zero = np.zeros_like(utility)
-            base = SubtreeState(zero, zero.copy())
-        take = upgrade_probability(utility, base.score, adoption)
-        if adoption.is_deterministic:
-            from repro.core.adoption import decision_tolerance
-
-            take = take * (utility >= -decision_tolerance(node.offer.price))
-        state = merged_state(base, utility, node.offer.price, adoption)
-        return state, take, child_results
-
-    def top_down(node_take, child_results, node: OfferNode, alive: np.ndarray) -> None:
-        taken = alive * node_take
-        buyers[node.bundle] = buyers.get(node.bundle, 0.0) + float(taken.sum())
-        remaining = alive * (1.0 - node_take)
-        for (s_, take_, kids_), child in zip(child_results, node.children):
-            top_down(take_, kids_, child, remaining)
-
-    for root in roots:
-        state, take, child_results = bottom_up(root)
-        total_pay = state.pay if total_pay is None else total_pay + state.pay
-        top_down(take, child_results, root, np.ones_like(take))
-    if total_pay is None:
-        total_pay = np.zeros(0)
-    return ChoiceOutcome(payments=total_pay, buyers_per_offer=buyers)
+    return ForestPlan(roots).evaluate(wtp_of, adoption)
 
 
 def sample_forest(
@@ -304,7 +525,7 @@ def sample_forest(
             buyers[node.bundle] = buyers.get(node.bundle, 0.0) + count
         pay = np.where(take, node.offer.price, 0.0)
         remaining = alive & ~take
-        for (_state, child_prob, kids, child_node) in child_results:
+        for _state, child_prob, kids, child_node in child_results:
             pay = pay + sample(child_prob, kids, child_node, remaining)
         return pay
 
@@ -361,7 +582,10 @@ def choose_mnl_enumerated(
         node_list = root.descendants()
         node_index = {id(node): k for k, node in enumerate(node_list)}
         utilities = np.stack(
-            [adoption.utility(wtp_of(node.bundle), node.offer.price) for node in node_list]
+            [
+                adoption.utility(wtp_of(node.bundle), node.offer.price)
+                for node in node_list
+            ]
         )  # (K, M)
         membership = np.zeros((len(antichains), len(node_list)))
         option_price = np.zeros(len(antichains))
@@ -383,19 +607,3 @@ def choose_mnl_enumerated(
     if total_pay is None:
         total_pay = np.zeros(0)
     return ChoiceOutcome(payments=total_pay, buyers_per_offer=buyers)
-
-
-# Backwards-compatible aliases used across the package.
-def choose_deterministic(roots, wtp_of, adoption) -> ChoiceOutcome:
-    """Max-surplus choice (ties toward the bundle); exact DP evaluation."""
-    return evaluate_forest(roots, wtp_of, adoption)
-
-
-def choose_mnl(roots, wtp_of, adoption, antichain_limit: int = 4096) -> ChoiceOutcome:
-    """Exact expected MNL choice (closed-form recursion)."""
-    return evaluate_forest(roots, wtp_of, adoption)
-
-
-def sample_choice(roots, wtp_of, adoption, rng=None, antichain_limit: int = 4096) -> ChoiceOutcome:
-    """One realized choice per consumer (exact top-down MNL sampling)."""
-    return sample_forest(roots, wtp_of, adoption, rng)

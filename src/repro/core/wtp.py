@@ -32,9 +32,11 @@ backends behind one interface:
     density-proportional work and memory.
 
 The kernel-facing contract is :meth:`WTPMatrix.raw_sum` (per-user sum over
-item columns, always float64 out) and :meth:`WTPMatrix.support_mask`
-(boolean "values any item positive" mask); both are exact for the default
-backend — bit-identical to ``values[:, items].sum(axis=1)``.
+item columns, always float64 out; :meth:`WTPMatrix.raw_sums` for several
+equal-size bundles at once) and :meth:`WTPMatrix.support_mask` (boolean
+"values any item positive" mask); both are exact for the default backend —
+bit-identical to ``values[:, items].sum(axis=1)`` on two or more users —
+and a user's sum never depends on which other users share the matrix.
 """
 
 from __future__ import annotations
@@ -79,6 +81,22 @@ def _scipy_sparse():
             "the sparse WTP backend requires scipy; install it or use storage='dense'"
         ) from exc
     return sp
+
+
+def _fold_last_axis(block: np.ndarray) -> np.ndarray:
+    """A gathered ``(users, ..., items)`` block summed over items, as float64.
+
+    With two or more users numpy sums the gathered items of each user left
+    to right (the summed axis is not its innermost loop); a lone user's
+    items would be summed pairwise instead, so a user's sum would depend
+    on how many users share the matrix.  ``np.add.accumulate`` folds that
+    single row left to right as well.
+    """
+    if block.shape[0] == 1 and block.shape[-1]:
+        total = np.add.accumulate(block, axis=-1)[..., -1].copy()
+    else:
+        total = block.sum(axis=-1)
+    return total.astype(np.float64, copy=False)
 
 
 def _is_sparse(values) -> bool:
@@ -305,8 +323,10 @@ class WTPMatrix:
         """Per-user WTP summed over *items*, as float64.
 
         This is the kernel-facing raw-WTP primitive.  For the default dense
-        float64 backend it is exactly ``values[:, list(items)].sum(axis=1)``
-        (bit-identical to the original implementation); the float32 backend
+        float64 backend it is ``values[:, list(items)].sum(axis=1)``
+        (bit-identical to the original implementation), with a lone user's
+        row folded left to right like every row of a larger matrix, so a
+        user's sum does not depend on the other rows; the float32 backend
         sums in float32 before widening; the sparse backend sums only
         stored entries.
         """
@@ -314,10 +334,21 @@ class WTPMatrix:
         if self._csc is not None:
             out = self._csc[:, items].sum(axis=1)
             return np.asarray(out, dtype=np.float64).ravel()
-        raw = self._values[:, items].sum(axis=1)
-        if raw.dtype != np.float64:
-            raw = raw.astype(np.float64)
-        return raw
+        return _fold_last_axis(self._values[:, items])
+
+    def raw_sums(self, index_matrix) -> np.ndarray:
+        """Per-user WTP of several equal-size bundles at once, as float64.
+
+        ``index_matrix`` is an ``(n_bundles, k)`` integer array, one bundle
+        per row; column ``j`` of the ``(n_users, n_bundles)`` result is
+        bit-identical to ``raw_sum(index_matrix[j])``: the dense backends
+        sum each user's ``k`` gathered values in the same order, and the
+        sparse backend calls :meth:`raw_sum` per bundle.
+        """
+        index_matrix = np.asarray(index_matrix, dtype=np.intp)
+        if self._csc is not None:
+            return np.stack([self.raw_sum(items) for items in index_matrix], axis=1)
+        return _fold_last_axis(self._values[:, index_matrix])
 
     def support_mask(self, items: Sequence[int]) -> np.ndarray:
         """Boolean mask of users with positive WTP for *any* of *items*."""

@@ -4,7 +4,8 @@ The serving subsystem answers ``solution.quote()``-identical prices from a
 persistent process instead of a cold per-call rebuild:
 
 * :class:`~repro.serving.state.ServingState` — the menu precomputed once
-  (supports, scales, price vector, adoption model, forest, fingerprint);
+  (supports, scales, price vector, adoption model, compiled offer forest,
+  fingerprint);
 * :class:`~repro.serving.admission.AdmissionQueue` — bounded admission
   with explicit load shedding (HTTP 429);
 * :class:`~repro.serving.batching.MicroBatcher` — micro-batches admitted

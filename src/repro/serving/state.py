@@ -9,22 +9,27 @@ requests.  :class:`ServingState` does that work exactly once:
 * the **offer supports** (per-offer item-index arrays) and Equation-1 scale
   factors;
 * the **per-offer price vector** and the price-grid levels of the fit;
-* the **offer forest** (mixed menus) and a single built adoption model;
+* the **compiled offer forest** (mixed menus, a
+  :class:`~repro.core.choice.ForestPlan`) and a single built adoption model;
 * the solution **fingerprint**, stamped on every response so clients can
   detect version skew across hot reloads.
 
 Bit-identity is the design constraint: a quote answered from warm state
 must equal ``solution.quote()`` to the last ulp.  The warm path therefore
-runs the *same* primitives as the cold one — :meth:`WTPMatrix.raw_sum` for
-bundle WTP, the adoption model's vectorized ``probability``, and
-:func:`repro.core.choice.evaluate_forest` for mixed menus — only the
-per-call rebuild work is skipped.  Because every per-user quantity in those
-primitives is computed elementwise (or reduced along each user's own row),
-stacking many requests' rows into one batch matrix and pricing them with
-one kernel call yields, for each request, exactly the payments, revenue,
-and coverage that quoting its rows alone would have produced.  That claim
-is pinned by ``tests/test_serving.py`` across batch sizes, adoption
-models, and backends.
+runs the *same* arithmetic as the cold one — :meth:`WTPMatrix.raw_sum` (or
+its grouped form :meth:`WTPMatrix.raw_sums`) for bundle WTP, the adoption
+model's vectorized ``probability``, and the forest plan that
+:func:`repro.core.choice.evaluate_forest` runs for mixed menus — only the
+per-call rebuild work is skipped.  A mixed menu's plan is compiled once
+here, so pricing a batch costs O(#levels) numpy calls (13 levels for the
+117-offer ``mixed_greedy`` menu) instead of one recursion step per offer,
+and serving skips the plan's per-offer buyer counts.  Because every
+per-user quantity in those primitives is computed elementwise (or reduced
+along each user's own row), stacking many requests' rows into one batch
+matrix and pricing them with one kernel call yields, for each request,
+exactly the payments, revenue, and coverage that quoting its rows alone
+would have produced.  That claim is pinned by ``tests/test_serving.py``
+across batch sizes, adoption models, and backends.
 
 The ``quote_batch`` fault site lives here: when armed it raises
 :class:`~repro.errors.ServingError` before pricing, standing in for a
@@ -41,7 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import faults
-from repro.core.choice import OfferNode, evaluate_forest
+# ``evaluate_forest`` is re-exported for the traced launcher in
+# ``perfbench/``, which wraps ``state.evaluate_forest`` as a span.
+from repro.core.choice import ForestPlan, evaluate_forest  # noqa: F401
 from repro.core.configuration import MixedConfiguration
 from repro.core.pricing import PriceGrid
 from repro.core.wtp import WTPMatrix
@@ -141,8 +148,7 @@ class ServingState:
                 np.asarray(offer.bundle.items, dtype=np.intp) for offer in offers
             )
             self.offer_scales: tuple[float, ...] = tuple(
-                1.0 + self.theta if offer.bundle.size >= 2 else 1.0
-                for offer in offers
+                1.0 + self.theta if offer.bundle.size >= 2 else 1.0 for offer in offers
             )
             self.price_vector: np.ndarray = np.asarray(
                 [offer.price for offer in offers], dtype=np.float64
@@ -169,10 +175,11 @@ class ServingState:
             self.price_vector = prices
         self.price_vector.setflags(write=False)
         self.grid = PriceGrid(n_levels=config.n_levels)
+        # Mixed menus: the offer forest compiled once, for this state's
+        # lifetime (every worker and every reload builds its own).
+        self.plan: ForestPlan | None = None
         if isinstance(solution.configuration, MixedConfiguration):
-            self.forest: list[OfferNode] | None = solution.configuration.forest()
-        else:
-            self.forest = None
+            self.plan = ForestPlan(solution.configuration.forest(), theta=self.theta)
 
     def close_shared(self) -> None:
         """Detach from shared menu blocks, if any (reload/retire path)."""
@@ -223,9 +230,7 @@ class ServingState:
                 f"quote rows have {matrix.n_items} items; the serving solution "
                 f"was fitted on {self.n_items}"
             )
-        return PreparedRows(
-            raw=rows, matrix=matrix, total_wtp=matrix.total, state=self
-        )
+        return PreparedRows(raw=rows, matrix=matrix, total_wtp=matrix.total, state=self)
 
     # ---------------------------------------------------------------- pricing
     def quote_batch(self, blocks: list[PreparedRows]) -> list[ServedQuote]:
@@ -259,11 +264,10 @@ class ServingState:
                 )
         matrix = blocks[0].matrix if len(blocks) == 1 else self._stack(blocks)
         bounds = np.cumsum([0] + [block.n_users for block in blocks])
-        if self.forest is None:
+        if self.plan is None:
             payments, per_offer_probs = self._pure_pass(matrix)
         else:
-            outcome = evaluate_forest(self.forest, self._wtp_of(matrix), self.adoption)
-            payments, per_offer_probs = outcome.payments, None
+            payments, per_offer_probs = self.plan.payments(matrix, self.adoption), None
         quotes = []
         for block, lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
             lo, hi = int(lo), int(hi)
@@ -291,16 +295,6 @@ class ServingState:
         return quotes
 
     # ------------------------------------------------------------- internals
-    def _wtp_of(self, matrix: WTPMatrix):
-        """Equation-1 bundle WTP against *matrix* (the engine's arithmetic)."""
-        theta = self.theta
-
-        def bundle_wtp(bundle):
-            scale = 1.0 + theta if bundle.size >= 2 else 1.0
-            return matrix.raw_sum(bundle.items) * scale
-
-        return bundle_wtp
-
     def _pure_pass(self, matrix: WTPMatrix) -> tuple[np.ndarray, list]:
         """Per-user payments + per-offer adoption over the whole batch.
 
@@ -333,15 +327,12 @@ class ServingState:
         if any(hasattr(raw, "tocsc") for raw in raws):
             import scipy.sparse as sp
 
-            stacked = sp.vstack(
-                [
-                    raw.tocsc()
-                    if hasattr(raw, "tocsc")
-                    else sp.csc_array(np.asarray(raw, dtype=np.float64))
-                    for raw in raws
-                ],
-                format="csc",
-            )
+            def to_csc(raw):
+                if hasattr(raw, "tocsc"):
+                    return raw.tocsc()
+                return sp.csc_array(np.asarray(raw, dtype=np.float64))
+
+            stacked = sp.vstack([to_csc(raw) for raw in raws], format="csc")
         else:
             stacked = np.vstack([np.asarray(raw, dtype=np.float64) for raw in raws])
         matrix = WTPMatrix(stacked)

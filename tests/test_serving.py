@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api import BundlingSolver, EngineConfig
+from repro.api import AdoptionSpec, BundlingSolver, EngineConfig
 from repro.api.solution import BundlingSolution
 from repro.core import faults
 from repro.core.retry import DegradedExecutionWarning, RetryPolicy
@@ -148,6 +148,89 @@ class TestServingStateBitIdentity:
         # The sequential path is the recovery: it must not consult the site.
         quote = state.quote_single(blocks[0])
         _assert_identical(quote, mixed_solution.quote(requests_by_size[0]))
+
+
+#: Mixed menus beyond the default float64 step fit: the compiled forest
+#: plan must reproduce cold ``quote()`` under every backend and under
+#: stochastic (MNL) choice.
+MIXED_VARIANTS = {
+    "float32": {"precision": "float32"},
+    "sparse": {"storage": "sparse"},
+    "sigmoid": {"adoption": AdoptionSpec(kind="sigmoid", gamma=0.8)},
+    "sigmoid-sparse-float32": {
+        "adoption": AdoptionSpec(kind="sigmoid", gamma=2.0),
+        "storage": "sparse",
+        "precision": "float32",
+    },
+}
+
+
+@pytest.fixture(scope="module", params=sorted(MIXED_VARIANTS))
+def mixed_variant(request, small_wtp):
+    config = EngineConfig(theta=0.15, **MIXED_VARIANTS[request.param])
+    return BundlingSolver("mixed_greedy", config).fit(small_wtp)
+
+
+def _assert_hex_identical(served, cold):
+    """Bit-for-bit equality: payment bytes and hex revenue/coverage."""
+    __tracebackhide__ = True
+    assert served.payments.dtype == np.float64
+    assert served.payments.tobytes() == np.asarray(cold.payments).tobytes()
+    assert float(served.revenue).hex() == float(cold.revenue).hex()
+    assert float(served.coverage).hex() == float(cold.coverage).hex()
+
+
+class TestMixedMenuVariants:
+    """Mixed menus over float32/sparse backends and sigmoid adoption."""
+
+    def test_menu_has_nested_offers(self, mixed_variant):
+        plan = mixed_variant.serving_state().plan
+        assert plan is not None and len(plan.levels) >= 2
+
+    @pytest.mark.parametrize("batch_size", [1, 4, 7])
+    def test_batched_equals_cold(self, mixed_variant, requests_by_size, batch_size):
+        state = mixed_variant.serving_state()
+        blocks = [state.prepare_rows(rows) for rows in requests_by_size[:batch_size]]
+        for quote, rows in zip(state.quote_batch(blocks), requests_by_size):
+            _assert_hex_identical(quote, mixed_variant.quote(rows))
+            assert quote.fingerprint == mixed_variant.fingerprint()
+
+    def test_sequential_equals_cold(self, mixed_variant, requests_by_size):
+        state = mixed_variant.serving_state()
+        for rows in requests_by_size:
+            quote = state.quote_single(state.prepare_rows(rows))
+            _assert_hex_identical(quote, mixed_variant.quote(rows))
+            assert quote.batched is False
+
+    def test_hot_reload_serves_the_variant(
+        self, mixed_solution, mixed_variant, requests_by_size, tmp_path
+    ):
+        path = tmp_path / "variant.json"
+        mixed_variant.save(path)
+        old_fp, new_fp = mixed_solution.fingerprint(), mixed_variant.fingerprint()
+
+        async def main():
+            server = QuoteServer(mixed_solution, batch_window=0.05, max_batch=64)
+            await server.start("127.0.0.1", 0)
+            try:
+                wave1 = [
+                    asyncio.create_task(server.quote(rows)) for rows in requests_by_size
+                ]
+                await asyncio.sleep(0.0)
+                swapped = await server.reload(path)
+                wave2 = [
+                    asyncio.create_task(server.quote(rows)) for rows in requests_by_size
+                ]
+                return swapped, await asyncio.gather(*wave1, *wave2)
+            finally:
+                await server.stop()
+
+        swapped, quotes = asyncio.run(main())
+        assert swapped == (old_fp, new_fp)
+        by_fp = {old_fp: mixed_solution, new_fp: mixed_variant}
+        for quote, rows in zip(quotes, [*requests_by_size, *requests_by_size]):
+            _assert_hex_identical(quote, by_fp[quote.fingerprint].quote(rows))
+        assert all(q.fingerprint == new_fp for q in quotes[len(requests_by_size) :])
 
 
 # ============================================================ server paths

@@ -210,3 +210,32 @@ class TestStorageBackends:
             got = wtp.bundle_wtp(Bundle.of(0, 2), theta=0.25)
             assert got.dtype == np.float64
             np.testing.assert_allclose(got, reference, rtol=1e-6)
+
+    @pytest.mark.parametrize(
+        "kwargs", ({}, *BACKENDS), ids=("float64", "float32", "sparse", "sparse32")
+    )
+    def test_raw_sums_equal_raw_sum_per_bundle(self, kwargs):
+        rng = np.random.default_rng(5)
+        values = rng.uniform(0.0, 9.0, size=(7, 30)) * (rng.random((7, 30)) < 0.6)
+        wtp = WTPMatrix(values, **kwargs)
+        for k in (1, 2, 9, 20):
+            index = np.stack([rng.choice(30, size=k, replace=False) for _ in range(4)])
+            sums = wtp.raw_sums(index)
+            assert sums.shape == (7, 4) and sums.dtype == np.float64
+            for column, items in enumerate(index):
+                assert sums[:, column].tobytes() == wtp.raw_sum(items).tobytes()
+
+    @pytest.mark.parametrize("dtype", ("float64", "float32"))
+    def test_raw_sum_of_a_user_ignores_the_other_rows(self, dtype):
+        # A single-row block would otherwise be summed pairwise by numpy
+        # and a multi-row one left to right; bundles of >= 8 items differ.
+        rng = np.random.default_rng(6)
+        values = rng.uniform(0.0, 9.0, size=(5, 40))
+        wtp = WTPMatrix(values, dtype=dtype)
+        items = rng.choice(40, size=25, replace=False)
+        whole = wtp.raw_sum(items)
+        expected = values[:, items].astype(dtype).sum(axis=1).astype(np.float64)
+        assert whole.tobytes() == expected.tobytes()
+        for user in range(5):
+            alone = WTPMatrix(values[user : user + 1], dtype=dtype).raw_sum(items)
+            assert alone.tobytes() == whole[user : user + 1].tobytes()

@@ -16,9 +16,6 @@ to that promise, and records what the warm path buys:
   concurrent load, and the cold-vs-warm single-request speedup, once on
   the primary mixed menu (before the reload) and once on the pure
   replacement (after it) — ``summary.throughput`` keys them by menu;
-* with ``--baseline OLD.json`` (a report from an earlier commit), embeds
-  that report's throughput figures and platform next to this run's, so a
-  before/after lives in one file;
 * with ``--workers N`` (N >= 2), additionally boots a supervised
   multi-process fleet (:class:`repro.serving.ServingSupervisor`) behind
   one socket and holds every HTTP-routed quote to the same bit-identity
@@ -646,21 +643,9 @@ def main() -> int:
         help="run even on <2 cores (numbers then include scheduling "
         "contention; the CI gate runs on real cores)",
     )
-    parser.add_argument(
-        "--baseline", type=Path, default=None,
-        help="an earlier report (e.g. from the parent commit) whose throughput "
-        "figures are embedded as 'baseline' for a before/after comparison",
-    )
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
     args = parser.parse_args()
     report, code = build_report(args)
-    if args.baseline is not None and "summary" in report:
-        before = json.loads(args.baseline.read_text())
-        report["baseline"] = {
-            "source": args.baseline.name,
-            "platform": before.get("platform"),
-            "throughput": before.get("summary", {}).get("throughput"),
-        }
     args.output.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {args.output}")
     return code

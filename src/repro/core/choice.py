@@ -241,7 +241,6 @@ class _Group:
     start: int
     stop: int
     items: np.ndarray  # (stop - start, k) item indices, one bundle per row
-    scale: float  # Equation 1's interaction factor for k items
 
 
 @dataclass(frozen=True)
@@ -281,7 +280,7 @@ class ForestPlan:
     (leaves first); a node's children all sit in lower levels, so one pass
     over the levels settles every subtree state.  Within a level the nodes
     are grouped by bundle size, each group holding an ``(n_k, k)``
-    item-index matrix and its Equation-1 scale for :meth:`payments`.
+    item-index matrix for :meth:`payments`.
     Per-node arrays are node-major, ``(n_nodes, users)``, so each node's
     buyer count is a contiguous row sum; large populations are priced in
     blocks of users, since every user's choice is independent.
@@ -290,12 +289,12 @@ class ForestPlan:
     per-consumer steps are elementwise, children fold left to right in
     ``node.children`` order (missing child slots are skipped, never
     zero-padded, since ``-0.0 + 0.0`` flips a sign bit), and roots fold
-    left to right in the given order.  ``theta`` fixes the scales that
-    :meth:`payments` applies to raw item sums; :meth:`evaluate` takes
-    bundle WTP from its caller instead.
+    left to right in the given order.  :meth:`payments` applies
+    Equation 1's ``theta`` to raw item sums; :meth:`evaluate` takes bundle
+    WTP from its caller instead.
     """
 
-    def __init__(self, roots: list[OfferNode], theta: float = 0.0) -> None:
+    def __init__(self, roots: list[OfferNode]) -> None:
         postorder: list[OfferNode] = []
         heights: list[int] = []
         parents: list[int] = []
@@ -334,12 +333,11 @@ class ForestPlan:
         for _height, level in groupby(order, key=heights.__getitem__):
             members = list(level)
             groups: list[_Group] = []
-            for size, group in groupby(members, key=lambda i: postorder[i].bundle.size):
+            for _, group in groupby(members, key=lambda i: postorder[i].bundle.size):
                 bundles = [postorder[index].bundle.items for index in group]
                 start = groups[-1].stop if groups else 0
-                scale = 1.0 + theta if size >= 2 else 1.0
                 items = np.asarray(bundles, dtype=np.intp)
-                groups.append(_Group(start, start + len(bundles), items, scale))
+                groups.append(_Group(start, start + len(bundles), items))
             slots = []
             for slot in range(max(len(children[index]) for index in members)):
                 holders = [p for p, i in enumerate(members) if len(children[i]) > slot]
@@ -399,12 +397,12 @@ class ForestPlan:
             buyers[bundle] = buyers.get(bundle, 0.0) + float(counts[row])
         return ChoiceOutcome(payments=payments, buyers_per_offer=buyers)
 
-    def payments(self, matrix, adoption: AdoptionModel) -> np.ndarray:
+    def payments(self, matrix, adoption: AdoptionModel, theta: float) -> np.ndarray:
         """Per-consumer expected payments for the rows of a ``WTPMatrix``.
 
-        Bundle WTP is Equation 1 over *matrix*, one
-        :meth:`~repro.core.wtp.WTPMatrix.raw_sums` call per group; no
-        buyer counts are kept.
+        Bundle WTP is Equation 1 over *matrix* with interaction factor
+        *theta*, one :meth:`~repro.core.wtp.WTPMatrix.raw_sums` call per
+        group; no buyer counts are kept.
         """
         if not self.nodes:
             return np.zeros(0)
@@ -418,7 +416,8 @@ class ForestPlan:
                 wtp = np.empty((level.hi - level.lo, block.n_users))
                 for group in level.groups:
                     raw = block.raw_sums(group.items)
-                    np.multiply(raw.T, group.scale, out=wtp[group.start : group.stop])
+                    scale = 1.0 + theta if group.items.shape[1] >= 2 else 1.0
+                    np.multiply(raw.T, scale, out=wtp[group.start : group.stop])
                 return wtp
 
             return level_wtp

@@ -179,7 +179,7 @@ class ServingState:
         # lifetime (every worker and every reload builds its own).
         self.plan: ForestPlan | None = None
         if isinstance(solution.configuration, MixedConfiguration):
-            self.plan = ForestPlan(solution.configuration.forest(), theta=self.theta)
+            self.plan = ForestPlan(solution.configuration.forest())
 
     def close_shared(self) -> None:
         """Detach from shared menu blocks, if any (reload/retire path)."""
@@ -267,7 +267,8 @@ class ServingState:
         if self.plan is None:
             payments, per_offer_probs = self._pure_pass(matrix)
         else:
-            payments, per_offer_probs = self.plan.payments(matrix, self.adoption), None
+            payments = self.plan.payments(matrix, self.adoption, self.theta)
+            per_offer_probs = None
         quotes = []
         for block, lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
             lo, hi = int(lo), int(hi)

@@ -298,7 +298,7 @@ def test_forest_plan_equals_enumeration(case):
     adoption = spec.build()
     engine = RevenueEngine(WTPMatrix(matrix), theta=0.1, adoption=adoption)
     roots = build_forest(offers)
-    outcome = ForestPlan(roots, theta=0.1).evaluate(engine.bundle_wtp, adoption)
+    outcome = ForestPlan(roots).evaluate(engine.bundle_wtp, adoption)
     reference_model = adoption
     if adoption.is_deterministic:
         assume(not _step_near_tie(roots, engine.bundle_wtp, adoption))
@@ -366,9 +366,9 @@ def test_forest_plan_bits_equal_node_by_node_walk(case, block):
     engine = RevenueEngine(WTPMatrix(matrix), theta=0.1, adoption=adoption)
     payments, buyers = _node_by_node(roots, engine.bundle_wtp, adoption)
     with mock.patch.object(choice, "_BLOCK_ELEMENTS", block):
-        plan = choice.ForestPlan(roots, theta=0.1)
+        plan = choice.ForestPlan(roots)
         outcome = plan.evaluate(engine.bundle_wtp, adoption)
-        served = plan.payments(WTPMatrix(matrix), adoption)
+        served = plan.payments(WTPMatrix(matrix), adoption, 0.1)
     assert outcome.payments.tobytes() == payments.tobytes() == served.tobytes()
     assert list(outcome.buyers_per_offer) == list(buyers)
     assert [v.hex() for v in outcome.buyers_per_offer.values()] == [
@@ -384,7 +384,7 @@ def test_forest_plan_row_split_is_bit_identical(case, data):
 
     _n_items, offers, matrix, spec = case
     adoption = spec.build()
-    plan = ForestPlan(build_forest(offers), theta=0.1)
+    plan = ForestPlan(build_forest(offers))
     k = data.draw(st.integers(1, matrix.shape[0] - 1))
 
     def evaluated(rows):
@@ -392,7 +392,7 @@ def test_forest_plan_row_split_is_bit_identical(case, data):
         return plan.evaluate(engine.bundle_wtp, adoption).payments
 
     def served(rows):
-        return plan.payments(WTPMatrix(rows), adoption)
+        return plan.payments(WTPMatrix(rows), adoption, 0.1)
 
     whole = evaluated(matrix).tobytes()
     halves = np.split(matrix, [k])

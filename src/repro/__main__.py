@@ -601,35 +601,47 @@ def _command_serve(args) -> int:
     import asyncio
 
     from repro import obs
+    from repro.serving import QuoteServer, ServingSupervisor
 
     if args.metrics:
         obs.enable_metrics()
-    if args.workers >= 2:
-        return _serve_fleet(args)
-    if args.trace_log:
+    fleet = args.workers >= 2
+    if args.trace_log and not fleet:
         obs.enable_tracing(sink_path=args.trace_log)
-
-    from repro.serving import QuoteServer
-
+    options = dict(
+        deadline=args.deadline,
+        queue_depth=args.queue_depth,
+        batch_window=args.batch_window,
+        max_batch=args.max_batch,
+        read_timeout=args.read_timeout,
+        population=args.wtp,
+    )
     try:
-        solution = BundlingSolution.load(args.solution)
-        server = QuoteServer(
-            solution,
-            deadline=args.deadline,
-            queue_depth=args.queue_depth,
-            batch_window=args.batch_window,
-            max_batch=args.max_batch,
-            read_timeout=args.read_timeout,
-            population=args.wtp,
-        )
+        if fleet:
+            server = ServingSupervisor(
+                args.solution,
+                workers=args.workers,
+                heartbeat_interval=args.heartbeat_interval,
+                breaker_threshold=args.breaker_threshold,
+                drain_timeout=args.drain_timeout,
+                trace_log=args.trace_log,
+                **options,
+            )
+        else:
+            server = QuoteServer(args.solution, **options)
     except (OSError, ReproError) as exc:
         print(f"error: cannot serve {args.solution}: {exc}", file=sys.stderr)
         return _exit_code(exc) if isinstance(exc, ReproError) else 2
 
     def banner(host, port):
-        print(f"serving {solution.algorithm}/{solution.strategy} "
-              f"({len(solution.configuration)} offers over {solution.n_items} "
-              f"items) on http://{host}:{port}")
+        if fleet:
+            what = f"fleet of {args.workers} workers"
+        else:
+            solution = server.state.solution
+            what = (f"{solution.algorithm}/{solution.strategy} "
+                    f"({len(solution.configuration)} offers over "
+                    f"{solution.n_items} items)")
+        print(f"serving {what} on http://{host}:{port}")
         print(f"solution fingerprint: {server.fingerprint}")
         endpoints = "POST /quote, POST /reload, GET /healthz, GET /readyz"
         if args.wtp:
@@ -651,61 +663,9 @@ def _command_serve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
     except KeyboardInterrupt:
-        pass
-    except OSError as exc:
-        # Bind failures (port in use, privileged port) land here.
-        print(f"error: cannot listen on {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 7
-    return 0
-
-
-def _serve_fleet(args) -> int:
-    import asyncio
-
-    from repro.serving import ServingSupervisor
-
-    try:
-        supervisor = ServingSupervisor(
-            args.solution,
-            workers=args.workers,
-            deadline=args.deadline,
-            queue_depth=args.queue_depth,
-            batch_window=args.batch_window,
-            max_batch=args.max_batch,
-            read_timeout=args.read_timeout,
-            heartbeat_interval=args.heartbeat_interval,
-            breaker_threshold=args.breaker_threshold,
-            drain_timeout=args.drain_timeout,
-            trace_log=args.trace_log,
-            population=args.wtp,
-        )
-    except ReproError as exc:
-        print(f"error: cannot serve {args.solution}: {exc}", file=sys.stderr)
-        return _exit_code(exc)
-
-    def banner(host, port):
-        print(f"serving fleet of {args.workers} workers on http://{host}:{port}")
-        print(f"solution fingerprint: {supervisor.fingerprint}")
-        endpoints = "POST /quote, POST /reload, GET /healthz, GET /readyz"
-        if args.wtp:
-            endpoints = endpoints.replace(
-                "POST /reload", "POST /reload, POST /refit"
-            )
-        if args.metrics:
-            endpoints += ", GET /metrics"
-        print(f"endpoints: {endpoints}")
-
-    try:
-        return asyncio.run(
-            supervisor.serve_forever(args.host, args.port, banner=banner)
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _exit_code(exc)
-    except KeyboardInterrupt:
         return 0
     except OSError as exc:
+        # Bind failures (port in use, privileged port) land here.
         print(f"error: cannot listen on {args.host}:{args.port}: {exc}",
               file=sys.stderr)
         return 7

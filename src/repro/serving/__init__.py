@@ -11,16 +11,21 @@ persistent process instead of a cold per-call rebuild:
 * :class:`~repro.serving.batching.MicroBatcher` — micro-batches admitted
   requests into single warm kernel calls, with deadline drops, bounded
   retries, and a batched → sequential degradation rung;
-* :class:`~repro.serving.server.QuoteServer` — the composition root plus
-  a stdlib-asyncio HTTP front end with per-request deadlines (504),
-  read timeouts (408), health/readiness endpoints, graceful SIGTERM
-  drain, and coherent hot reload stamping every response with the
-  serving solution's fingerprint;
-* :class:`~repro.serving.supervisor.ServingSupervisor` — N supervised
-  worker processes (:mod:`repro.serving.worker`) behind one socket:
-  shared-memory menu blocks (one state copy per host), crash detection
-  and respawn with backoff, per-worker circuit breakers, rolling
-  zero-downtime reload, and fleet-wide graceful drain.
+* :class:`~repro.serving.front.HttpFront` — the one HTTP front and
+  reload/refit control plane both serving shapes run on: a stdlib-asyncio
+  connection loop with read timeouts (408), body limits (413) and typed
+  errors on every route, health/readiness/metrics endpoints, graceful
+  SIGTERM drain, and reload/refit under one lock (409 on a conflict),
+  every response stamped with the serving solution's fingerprint;
+* :class:`~repro.serving.server.QuoteServer` — the front over one
+  process: quotes run through the local micro-batcher and a new menu
+  lands by a single-reference state swap;
+* :class:`~repro.serving.supervisor.ServingSupervisor` — the front over
+  N supervised worker processes (:mod:`repro.serving.worker`): quotes are
+  proxied to the least-loaded healthy worker and a new menu lands by a
+  verified rolling rotation; shared-memory menu blocks (one state copy
+  per host), crash detection and respawn with backoff, and per-worker
+  circuit breakers.
 
 The load-bearing invariant, pinned by ``tests/test_serving.py`` /
 ``tests/test_supervisor.py`` and the ``serving-smoke`` CI job: every

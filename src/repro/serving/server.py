@@ -1,18 +1,19 @@
-"""The hardened quote server: warm state behind an asyncio HTTP front end.
+"""The single-process quote server: warm state behind the shared HTTP front.
 
-:class:`QuoteServer` is the serving subsystem's composition root.  It owns
+:class:`QuoteServer` is one of the two users of
+:class:`~repro.serving.front.HttpFront` (the fleet supervisor is the
+other).  The front owns the connection loop, routes, drain, metrics and
+the reload/refit control plane; this class supplies the two strategies
+that make it a single process:
 
-* one :class:`~repro.serving.state.ServingState` (the warm, precomputed
-  menu — swapped atomically by :meth:`reload`),
-* one :class:`~repro.serving.admission.AdmissionQueue` (bounded; overload
-  sheds with HTTP 429 instead of queueing unboundedly),
-* one :class:`~repro.serving.batching.MicroBatcher` (micro-batches admitted
-  requests into single warm kernel calls, bit-identical to per-request
-  ``solution.quote()``), and
-* a hand-rolled HTTP/1.1 front end on stdlib ``asyncio`` streams — no
-  ``http.server``, no third-party framework — with per-connection read
-  timeouts so a stalled client (see the ``slow_client`` fault site) gets a
-  408 and a closed socket instead of a pinned handler.
+* **a quote runs locally** — a :class:`~repro.serving.admission.AdmissionQueue`
+  (bounded; overload sheds with HTTP 429) feeds a
+  :class:`~repro.serving.batching.MicroBatcher`, which prices admitted
+  requests in single warm kernel calls, bit-identical to per-request
+  ``solution.quote()``;
+* **a new menu lands by a single-reference swap** — the replacement
+  :class:`~repro.serving.state.ServingState` is fully built off-loop
+  first, so a failure anywhere leaves the old state serving.
 
 Endpoints::
 
@@ -28,64 +29,44 @@ Endpoints::
                       payload names its target path)
     POST /refit    {"delta": {"removed": [...], "added": [[...], ...]},
                     "drift_threshold": optional}
-                   -> 200 old/new fingerprints + refit mode/drift; the
-                      warm-refitted (or drift-triggered cold) solution is
-                      swapped in atomically, exactly like /reload
+                   -> 200 old/new fingerprints + refit mode/drift
                    -> 400 ValidationError (bad delta, or the server was
                       started without the fitted population)
                    -> 409 ReloadConflictError (a reload/refit in flight)
     GET  /healthz  -> 200 live counters (queue depth, sheds, degraded
-                      batches, reloads) — real state, not heuristics;
-                      ``status`` is "draining" once close/drain begins
+                      batches, reloads); ``status`` is "draining" once
+                      a drain begins
     GET  /readyz   -> 200 once a solution is loaded and the batcher runs,
-                      503 otherwise (and while draining, with a
-                      ``draining`` flag in the body)
+                      503 otherwise (and while draining)
+    GET  /metrics  -> Prometheus text exposition (404 when metrics are off)
 
-Every response carries ``X-Solution-Fingerprint`` so clients observe
-version skew across hot reloads without parsing bodies.  429 responses
-carry a ``Retry-After`` computed from live queue depth × the observed
-per-batch wall clock (EWMA), capped at :data:`MAX_RETRY_AFTER` — not a
-hardcoded constant.
-
-Lifecycle: :meth:`QuoteServer.drain` refuses new work, finishes in-flight
-quotes, and stops; :meth:`QuoteServer.serve_forever` wires it to SIGTERM
-(first SIGTERM drains and exits 0, a second aborts with 143) while SIGINT
-keeps its fast-stop behaviour.  The module-level :func:`read_http_request`
-/ :func:`write_http_response` helpers are the HTTP edge shared with the
-fleet supervisor (:mod:`repro.serving.supervisor`).
+429 responses carry a ``Retry-After`` computed from live queue depth ×
+the observed per-batch wall clock (EWMA), capped at
+:data:`MAX_RETRY_AFTER`.
 
 Deadline guarantee: the handler awaits the ticket's future under
 ``asyncio.wait_for`` with its *own* clock — even a kernel thread that
 hangs cannot stall a response past its deadline; the request is failed
 with 504 and its ticket cancelled so the batcher skips it.
+
+The module-level :func:`read_http_request` / :func:`write_http_response`
+are the HTTP read and write of both serving shapes.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import math
-import os
 import time
 
 import numpy as np
 
-from repro import obs
 from repro.core import faults
 from repro.core.retry import RetryPolicy
-from repro.errors import (
-    CircuitOpenError,
-    QuoteDeadlineError,
-    ReloadConflictError,
-    ReloadError,
-    ReproError,
-    ServerOverloadedError,
-    ServingError,
-    ValidationError,
-    WorkerCrashError,
-)
+from repro.errors import QuoteDeadlineError, ReloadError, ServingError, ValidationError
 from repro.serving.admission import AdmissionQueue, QuoteTicket
 from repro.serving.batching import MicroBatcher
+from repro.serving.front import HttpFront, json_body
 from repro.serving.state import ServedQuote, ServingState
 
 #: Largest request body accepted (bytes) before answering 413.
@@ -114,19 +95,13 @@ _REASONS = {
 }
 
 
-def _status_of(error: BaseException) -> int:
-    """The HTTP status a typed serving-path error maps to."""
-    if isinstance(error, QuoteDeadlineError):
-        return 504
-    if isinstance(error, ServerOverloadedError):
-        return 429
-    if isinstance(error, ReloadConflictError):
-        return 409
-    if isinstance(error, (WorkerCrashError, CircuitOpenError)):
-        return 503
-    if isinstance(error, ValidationError):
-        return 400
-    return 500
+class FramingError(Exception):
+    """A request the edge cannot frame; answered with *status*, then closed."""
+
+    def __init__(self, status: int, error: str, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+        self.error = error
 
 
 async def read_http_request(
@@ -134,11 +109,9 @@ async def read_http_request(
 ):
     """One parsed request — ``(method, path, headers, body)`` — or None at EOF.
 
-    The serving edge shared by :class:`QuoteServer` and the fleet
-    supervisor.  Consults the ``slow_client`` fault site (a stalled read
-    that the caller's ``wait_for`` must bound) and raises the module's
-    :class:`_MalformedRequest` / :class:`_BodyTooLarge` internals for the
-    caller to map to 400 / 413.
+    Consults the ``slow_client`` fault site (a stalled read that the
+    caller's ``wait_for`` must bound) and raises :class:`FramingError`
+    for a malformed request (400) or an oversized body (413).
     """
     delay = faults.fire("slow_client")
     if delay is not None:
@@ -150,14 +123,14 @@ async def read_http_request(
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
             return None
-        raise _MalformedRequest("connection closed mid-request") from None
+        raise _malformed("connection closed mid-request") from None
     except asyncio.LimitOverrunError:
-        raise _MalformedRequest("header block too large") from None
+        raise _malformed("header block too large") from None
     try:
         lines = head.decode("latin-1").split("\r\n")
         method, target, _version = lines[0].split(" ", 2)
     except (UnicodeDecodeError, ValueError):
-        raise _MalformedRequest("unparseable request line") from None
+        raise _malformed("unparseable request line") from None
     headers: dict[str, str] = {}
     for line in lines[1:]:
         if not line:
@@ -169,20 +142,26 @@ async def read_http_request(
     try:
         length = int(length_header)
     except ValueError:
-        raise _MalformedRequest(f"bad Content-Length: {length_header!r}") from None
+        raise _malformed(f"bad Content-Length: {length_header!r}") from None
     if length < 0:
-        raise _MalformedRequest(f"bad Content-Length: {length_header!r}")
+        raise _malformed(f"bad Content-Length: {length_header!r}")
     if length > max_body_bytes:
-        raise _BodyTooLarge(
+        raise FramingError(
+            413,
+            "PayloadTooLarge",
             f"request body of {length} bytes exceeds the "
-            f"{max_body_bytes}-byte limit"
+            f"{max_body_bytes}-byte limit",
         )
     if length:
         try:
             body = await reader.readexactly(length)
         except asyncio.IncompleteReadError:
-            raise _MalformedRequest("connection closed mid-body") from None
+            raise _malformed("connection closed mid-body") from None
     return method.upper(), target.split("?", 1)[0], headers, body
+
+
+def _malformed(message: str) -> FramingError:
+    return FramingError(400, "MalformedRequest", message)
 
 
 async def write_http_response(
@@ -214,15 +193,15 @@ async def write_http_response(
         pass  # the peer is gone; nothing left to tell it
 
 
-class QuoteServer:
+class QuoteServer(HttpFront):
     """A persistent, robustness-first quote service over one solution.
 
     Parameters
     ----------
     solution:
         A :class:`~repro.api.BundlingSolution`, a prebuilt
-        :class:`ServingState`, or ``None`` (start empty; ``/readyz`` is 503
-        until :meth:`reload` loads one).
+        :class:`ServingState`, a path to a saved solution, or ``None``
+        (start empty; ``/readyz`` is 503 until :meth:`reload` loads one).
     deadline:
         Default per-request wall-clock budget in seconds; a request may
         override it downward or upward via the ``deadline`` body field.
@@ -260,26 +239,16 @@ class QuoteServer:
     ) -> None:
         if not (float(deadline) > 0):
             raise ValidationError(f"deadline must be positive, got {deadline!r}")
-        if not (float(read_timeout) > 0):
-            raise ValidationError(
-                f"read_timeout must be positive, got {read_timeout!r}"
-            )
+        super().__init__(
+            read_timeout=read_timeout,
+            max_body_bytes=max_body_bytes,
+            drain_timeout=10.0,
+            population=population,
+        )
         self.deadline = float(deadline)
-        self.read_timeout = float(read_timeout)
-        self.max_body_bytes = int(max_body_bytes)
-        self._state: ServingState | None = None
         if solution is not None:
             self._state = self._coerce_state(solution)
-        self._population = self._coerce_population(population)
-        if (
-            self._population is not None
-            and self._state is not None
-            and self._population.n_items != self._state.n_items
-        ):
-            raise ValidationError(
-                f"refit population has {self._population.n_items} items; the "
-                f"serving solution was fitted on {self._state.n_items}"
-            )
+        self._check_population()
         self.admission = AdmissionQueue(queue_depth)
         if retry is None:
             retry = RetryPolicy(max_attempts=3, backoff=0.01, degrade=True)
@@ -290,46 +259,13 @@ class QuoteServer:
             max_batch=max_batch,
             retry=retry,
         )
-        self._server: asyncio.base_events.Server | None = None
-        self._reload_lock: asyncio.Lock | None = None
-        #: Reload target currently being applied (the 409 payload for a
-        #: concurrent ``POST /reload``); None outside a reload.
-        self._reload_target: str | None = None
-        #: Open client connections — force-closed at :meth:`stop` so idle
-        #: keep-alive peers cannot pin shutdown.
-        self._connections: set[asyncio.StreamWriter] = set()
-        #: True once drain/close has begun: new work is refused with 503
-        #: and the health endpoints report ``draining``.
-        self.draining = False
         #: Quotes between admission and resolution.  Drain waits on this
         #: rather than queue/batch introspection: a ticket is invisible to
         #: both in the instant after the batcher dequeues it and before it
         #: marks the batch in flight, and a drain poll landing in that gap
         #: would tear down mid-quote.
         self._open_quotes = 0
-        self._started_at = time.monotonic()
-        self.requests = 0
         self.deadline_timeouts = 0
-        self.read_timeouts = 0
-        self.reloads = 0
-        self.reload_failures = 0
-        self.last_reload_error: str | None = None
-        self.refits = 0
-        self.refit_failures = 0
-        self.last_refit_error: str | None = None
-
-    # ----------------------------------------------------------------- state
-    @staticmethod
-    def _coerce_population(source):
-        if source is None:
-            return None
-        from repro.core.wtp import WTPMatrix
-
-        if isinstance(source, WTPMatrix):
-            return source
-        if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-            return WTPMatrix.load_npz(source)
-        return WTPMatrix(source)
 
     @staticmethod
     def _coerce_state(source) -> ServingState:
@@ -342,139 +278,22 @@ class QuoteServer:
         return ServingState(source)
 
     @property
-    def state(self) -> ServingState | None:
-        """The currently serving state (None before the first load)."""
-        return self._state
-
-    @property
-    def fingerprint(self) -> str | None:
-        state = self._state
-        return None if state is None else state.fingerprint
-
-    @property
     def ready(self) -> bool:
         return self._state is not None and self.batcher.running
 
-    # --------------------------------------------------------------- control
-    async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
-        """Start the batcher and the HTTP listener; returns ``(host, port)``."""
-        self._reload_lock = asyncio.Lock()
-        self._started_at = time.monotonic()
-        self.draining = False
+    # --------------------------------------------------------------- backend
+    async def _start_backend(self) -> None:
         self.batcher.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, host, port, limit=_HEADER_LIMIT
-        )
-        bound = self._server.sockets[0].getsockname()
-        return bound[0], bound[1]
 
-    async def stop(self) -> None:
-        """Stop accepting, drain the batcher, shut the listener down."""
-        self.draining = True
-        if self._server is not None:
-            self._server.close()
-            # Unblock idle keep-alive readers: without this, 3.12+'s
-            # wait_closed (which waits for connection handlers) would hang
-            # on any client that never sends another byte.
-            for writer in list(self._connections):
-                try:
-                    writer.close()
-                except OSError:  # pragma: no cover - transport already dead
-                    pass
-            await self._server.wait_closed()
-            self._server = None
+    async def _stop_backend(self, graceful: bool) -> None:
         await self.batcher.stop()
 
-    async def drain(self, timeout: float = 10.0) -> bool:
-        """Graceful drain: refuse new work, finish in-flight, then stop.
-
-        Closes the listener immediately (new connections are refused at
-        the socket; new requests on existing keep-alive connections get
-        503 ``ServerDraining``), waits up to *timeout* seconds for the
-        admission queue to empty and the in-flight batch to resolve, then
-        stops.  Returns True when everything drained inside the budget,
-        False when the timeout expired with work still queued (that work
-        is failed by the batcher teardown).
-        """
-        self.draining = True
-        if self._server is not None:
-            self._server.close()
-            # Listener sockets close synchronously; wait_closed is
-            # deferred to stop() so draining never blocks on open
-            # keep-alive connections.
-        loop = asyncio.get_running_loop()
-        deadline_at = loop.time() + float(timeout)
-        clean = True
-        while (
+    def _backend_busy(self) -> bool:
+        return (
             self._open_quotes > 0
             or self.admission.waiting > 0
             or self.batcher.in_flight
-        ):
-            if loop.time() >= deadline_at:
-                clean = False
-                break
-            await asyncio.sleep(0.005)
-        await self.stop()
-        return clean
-
-    async def serve_forever(
-        self, host: str, port: int, *, banner=None, drain_timeout: float = 10.0
-    ) -> int:
-        """Run until SIGINT (fast stop) or SIGTERM (graceful drain).
-
-        The CLI entry point.  SIGINT stops immediately (in-flight requests
-        are failed with ``ServingError``).  The first SIGTERM starts a
-        graceful drain — stop accepting, finish in-flight work, exit —
-        bounded by *drain_timeout* seconds; a second SIGTERM aborts the
-        drain immediately.  Returns the process exit code: 0 for a normal
-        stop or completed drain, 143 (128+SIGTERM) for an aborted drain.
-        """
-        import signal
-
-        bound_host, bound_port = await self.start(host, port)
-        if banner is not None:
-            banner(bound_host, bound_port)
-        loop = asyncio.get_running_loop()
-        stop = loop.create_future()
-        abort = loop.create_future()
-
-        def _request_stop(kind: str) -> None:
-            if stop.done():
-                # Second signal: escalate a drain in progress to an abort.
-                if kind == "drain" and not abort.done():
-                    abort.set_result(None)
-                return
-            stop.set_result(kind)
-
-        installed = []
-        for sig, kind in ((signal.SIGINT, "stop"), (signal.SIGTERM, "drain")):
-            try:
-                loop.add_signal_handler(sig, _request_stop, kind)
-                installed.append(sig)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-        try:
-            kind = await stop
-            if kind != "drain":
-                return 0
-            drain_task = asyncio.ensure_future(self.drain(drain_timeout))
-            await asyncio.wait(
-                {drain_task, abort}, return_when=asyncio.FIRST_COMPLETED
-            )
-            if not drain_task.done():
-                drain_task.cancel()
-                try:
-                    await drain_task
-                except asyncio.CancelledError:
-                    pass
-                return 143
-            return 0
-        finally:
-            for sig in installed:
-                loop.remove_signal_handler(sig)
-            if not abort.done():
-                abort.cancel()
-            await self.stop()
+        )
 
     # ----------------------------------------------------------------- quote
     async def quote(self, rows, deadline: float | None = None) -> ServedQuote:
@@ -519,428 +338,9 @@ class QuoteServer:
         finally:
             self._open_quotes -= 1
 
-    # ---------------------------------------------------------------- reload
-    async def reload(self, source) -> tuple[str | None, str]:
-        """Atomically swap in a replacement solution; all-or-nothing.
-
-        *source* is a path (loaded via ``BundlingSolution.load``, which
-        verifies the persisted fingerprint), a ``BundlingSolution``, or a
-        prebuilt :class:`ServingState`.  The replacement is fully loaded
-        and precomputed **before** the single-reference swap, so a failure
-        anywhere — unreadable file, corrupted payload, fingerprint
-        mismatch, an injected ``reload`` fault — leaves the old state
-        serving, untouched.  Returns ``(old_fingerprint, new_fingerprint)``.
-        """
-        lock = self._reload_lock
-        if lock is None:
-            self._reload_lock = lock = asyncio.Lock()
-        if lock.locked():
-            # A concurrent reload is not queued behind the in-flight one —
-            # applying both in *some* order would leave whichever landed
-            # last serving, invisibly.  Conflict is surfaced (HTTP 409
-            # with the in-flight target) for the caller to retry.
-            raise ReloadConflictError(self._reload_target)
-        async with lock:
-            if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-                target = os.fspath(source)
-                self._reload_target = (
-                    target.decode("utf-8", "replace")
-                    if isinstance(target, bytes)
-                    else str(target)
-                )
-            else:
-                self._reload_target = type(source).__name__
-            loop = asyncio.get_running_loop()
-            try:
-                try:
-                    new_state = await loop.run_in_executor(
-                        None, self._coerce_state, source
-                    )
-                    if faults.fire("reload") is not None:
-                        raise ReloadError(
-                            "injected reload fault; previous state retained"
-                        )
-                except ReloadError as exc:
-                    self.reload_failures += 1
-                    self.last_reload_error = str(exc)
-                    raise
-                except (ReproError, OSError) as exc:
-                    self.reload_failures += 1
-                    self.last_reload_error = str(exc)
-                    raise ReloadError(
-                        f"reload failed; previous state retained: {exc}"
-                    ) from exc
-                previous = self._state
-                # Single-reference swap: in-flight batches keep the state
-                # they captured; the batcher re-prepares stale tickets on
-                # its next batch against whatever this reference points at
-                # then.
-                self._state = new_state
-                self.reloads += 1
-                self.last_reload_error = None
-                return (
-                    None if previous is None else previous.fingerprint,
-                    new_state.fingerprint,
-                )
-            finally:
-                self._reload_target = None
-
-    # ----------------------------------------------------------------- refit
-    def _refit_offline(self, delta, drift_threshold):
-        """The blocking half of :meth:`refit` (runs in the executor).
-
-        Returns ``(report, new_state, new_population)`` — everything the
-        event loop needs to make the single-reference swap.
-        """
-        from repro.api.solver import BundlingSolver
-        from repro.core.delta import PopulationDelta
-
-        population = self._population
-        if population is None:
-            raise ValidationError(
-                "refit requires the fitted population; start the server with "
-                "population= (CLI: serve --wtp population.npz)"
-            )
-        state = self._state
-        if state is None:
-            raise ServingError("no solution loaded; POST /reload one first")
-        if isinstance(delta, dict):
-            delta = PopulationDelta.from_dict(delta)
-        if not isinstance(delta, PopulationDelta):
-            raise ValidationError(
-                f"refit delta must be a PopulationDelta or dict, got "
-                f"{type(delta).__name__}"
-            )
-        solver = BundlingSolver(
-            state.solution.algorithm_spec, state.solution.engine_config
-        )
-        report = solver.refit(
-            state.solution, population, delta, drift_threshold=drift_threshold
-        )
-        return report, ServingState(report.solution), delta.apply(population)
-
-    async def refit(self, delta, drift_threshold: float | None = None) -> dict:
-        """Warm-refit the serving solution across a population delta.
-
-        Runs :meth:`BundlingSolver.refit` off-loop (the solver is rebuilt
-        from the serving solution's own provenance), then swaps the
-        refitted state in with the same single-reference discipline as
-        :meth:`reload` — under the same lock, so a refit and a reload can
-        never interleave (the loser gets 409).  On success the in-memory
-        population advances past the delta, so successive refits compound.
-        Failure anywhere leaves both the old state and the old population
-        serving, untouched.
-        """
-        lock = self._reload_lock
-        if lock is None:
-            self._reload_lock = lock = asyncio.Lock()
-        if lock.locked():
-            raise ReloadConflictError(self._reload_target)
-        async with lock:
-            self._reload_target = "refit"
-            loop = asyncio.get_running_loop()
-            started = time.monotonic()
-            try:
-                try:
-                    report, new_state, new_population = await loop.run_in_executor(
-                        None, self._refit_offline, delta, drift_threshold
-                    )
-                except (ReproError, OSError) as exc:
-                    self.refit_failures += 1
-                    self.last_refit_error = str(exc)
-                    obs.counter_inc(
-                        "repro_refit_failures_total",
-                        help="Refits that failed before the state swap.",
-                    )
-                    raise
-                previous = self._state
-                self._state = new_state
-                self._population = new_population
-                self.refits += 1
-                self.last_refit_error = None
-                elapsed = time.monotonic() - started
-                obs.counter_inc(
-                    "repro_refit_total",
-                    help="Refits applied, by warm/cold mode.",
-                    labelnames=("mode",),
-                    mode=report.mode,
-                )
-                obs.observe(
-                    "repro_refit_duration_seconds",
-                    elapsed,
-                    help="Wall time per refit (warm re-price plus any cold fallback).",
-                    buckets=obs.REFIT_DURATION_BUCKETS,
-                )
-                return {
-                    "previous_fingerprint": (
-                        None if previous is None else previous.fingerprint
-                    ),
-                    "fingerprint": new_state.fingerprint,
-                    "mode": report.mode,
-                    "drift": (
-                        float(report.drift) if math.isfinite(report.drift) else None
-                    ),
-                    "threshold": report.threshold,
-                    "n_added": report.n_added,
-                    "n_removed": report.n_removed,
-                    "n_users": new_population.n_users,
-                    "expected_revenue": report.solution.expected_revenue,
-                }
-            finally:
-                self._reload_target = None
-
-    # ---------------------------------------------------------------- health
-    def health(self) -> dict:
-        """The ``/healthz`` payload — live counters, not heuristics."""
-        state = self._state
-        if self.draining:
-            # Drain beats every other status: an operator (or the fleet
-            # supervisor) must see the terminal state, not "serving".
-            status = "draining"
-        elif state is None:
-            status = "unloaded"
-        elif self.batcher.last_batch_degraded:
-            status = "degraded"
-        else:
-            status = "serving"
-        payload = {
-            "status": status,
-            "ready": self.ready,
-            "fingerprint": None if state is None else state.fingerprint,
-            "uptime_seconds": time.monotonic() - self._started_at,
-            "queue": {
-                "waiting": self.admission.waiting,
-                "depth": self.admission.depth,
-                "saturated": self.admission.saturated,
-            },
-            "counters": {
-                "requests": self.requests,
-                "admitted": self.admission.admitted,
-                "shed": self.admission.shed,
-                "batches": self.batcher.batches,
-                "quotes": self.batcher.quotes,
-                "expired": self.batcher.expired,
-                "failed": self.batcher.failed,
-                "degraded_batches": self.batcher.degraded_batches,
-                "deadline_timeouts": self.deadline_timeouts,
-                "read_timeouts": self.read_timeouts,
-                "reloads": self.reloads,
-                "reload_failures": self.reload_failures,
-                "refits": self.refits,
-                "refit_failures": self.refit_failures,
-            },
-        }
-        if self._population is not None:
-            payload["population"] = {"n_users": self._population.n_users}
-        if state is not None:
-            payload["solution"] = {
-                "algorithm": state.algorithm,
-                "strategy": state.strategy,
-                "n_items": state.n_items,
-                "n_offers": len(state.offers),
-            }
-        if self.last_reload_error is not None:
-            payload["last_reload_error"] = self.last_reload_error
-        if self.last_refit_error is not None:
-            payload["last_refit_error"] = self.last_refit_error
-        return payload
-
-    # ------------------------------------------------------------- HTTP edge
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    request = await asyncio.wait_for(
-                        self._read_request(reader), self.read_timeout
-                    )
-                except asyncio.TimeoutError:
-                    # Stalled (slow-loris) client: bound the damage to one
-                    # read budget, answer 408, drop the connection.
-                    self.read_timeouts += 1
-                    await self._respond(
-                        writer,
-                        408,
-                        {
-                            "error": "RequestReadTimeout",
-                            "message": (
-                                "request not received within "
-                                f"{self.read_timeout:.3f}s; closing connection"
-                            ),
-                        },
-                        keep_alive=False,
-                    )
-                    return
-                except _BodyTooLarge as exc:
-                    await self._respond(
-                        writer,
-                        413,
-                        {"error": "PayloadTooLarge", "message": str(exc)},
-                        keep_alive=False,
-                    )
-                    return
-                except _MalformedRequest as exc:
-                    await self._respond(
-                        writer,
-                        400,
-                        {"error": "MalformedRequest", "message": str(exc)},
-                        keep_alive=False,
-                    )
-                    return
-                if request is None:  # clean EOF between requests
-                    return
-                keep_alive = await self._dispatch(request, writer)
-                if not keep_alive:
-                    return
-        except asyncio.CancelledError:
-            # Server shutdown cancelled this handler mid-request.  Swallow
-            # the cancellation so the task finishes cleanly (the asyncio
-            # streams machinery logs cancelled handler tasks as errors) —
-            # the connection is closed below either way.
-            pass
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # pragma: no cover - peer vanished mid-exchange
-        finally:
-            self._connections.discard(writer)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError, asyncio.CancelledError):
-                pass
-
-    async def _read_request(self, reader: asyncio.StreamReader):
-        """One parsed request: ``(method, path, headers, body)`` or None at EOF."""
-        return await read_http_request(reader, max_body_bytes=self.max_body_bytes)
-
-    #: Routes that get their own label on the per-route request series;
-    #: anything else is folded into ``other`` so a scanner probing random
-    #: paths cannot grow the label space without bound.
-    _METRIC_ROUTES = ("/quote", "/reload", "/refit", "/healthz", "/readyz", "/metrics")
-
-    async def _dispatch(self, request, writer: asyncio.StreamWriter) -> bool:
-        if not obs.metrics_enabled():
-            return await self._route_request(request, writer)
-        method, path = request[0], request[1]
-        route = path if path in self._METRIC_ROUTES else "other"
-        started = time.monotonic()
-        try:
-            return await self._route_request(request, writer)
-        finally:
-            obs.counter_inc("repro_http_requests_total",
-                            help="HTTP requests by route and method.",
-                            labelnames=("route", "method"),
-                            route=route, method=method)
-            obs.observe("repro_http_request_seconds", time.monotonic() - started,
-                        help="Wall time per HTTP request.",
-                        labelnames=("route",), route=route)
-
-    async def _route_request(self, request, writer: asyncio.StreamWriter) -> bool:
-        method, path, headers, body = request
-        keep_alive = headers.get("connection", "").lower() != "close"
-        if path == "/healthz" and method == "GET":
-            await self._respond(writer, 200, self.health(), keep_alive=keep_alive)
-            return keep_alive
-        if path == "/readyz" and method == "GET":
-            ready = self.ready and not self.draining
-            await self._respond(
-                writer,
-                200 if ready else 503,
-                {
-                    "ready": ready,
-                    "draining": self.draining,
-                    "fingerprint": self.fingerprint,
-                },
-                keep_alive=keep_alive,
-            )
-            return keep_alive
-        if path == "/metrics" and method == "GET":
-            # Deliberately ahead of the drain gate: scrapes must keep
-            # working while the server drains, or the shutdown itself
-            # becomes unobservable.
-            await self._handle_metrics(writer, keep_alive)
-            return keep_alive
-        if path in ("/quote", "/reload", "/refit") and self.draining:
-            # New work is refused once drain begins; only in-flight
-            # requests (already admitted) complete.
-            await self._respond(
-                writer,
-                503,
-                {
-                    "error": "ServerDraining",
-                    "message": "server is draining; not accepting new work",
-                },
-                keep_alive=False,
-            )
-            return False
-        if path == "/quote":
-            if method != "POST":
-                await self._respond(
-                    writer,
-                    405,
-                    {"error": "MethodNotAllowed", "message": "POST /quote"},
-                    keep_alive=keep_alive,
-                )
-                return keep_alive
-            await self._handle_quote(body, writer, keep_alive)
-            return keep_alive
-        if path == "/reload":
-            if method != "POST":
-                await self._respond(
-                    writer,
-                    405,
-                    {"error": "MethodNotAllowed", "message": "POST /reload"},
-                    keep_alive=keep_alive,
-                )
-                return keep_alive
-            await self._handle_reload(body, writer, keep_alive)
-            return keep_alive
-        if path == "/refit":
-            if method != "POST":
-                await self._respond(
-                    writer,
-                    405,
-                    {"error": "MethodNotAllowed", "message": "POST /refit"},
-                    keep_alive=keep_alive,
-                )
-                return keep_alive
-            await self._handle_refit(body, writer, keep_alive)
-            return keep_alive
-        await self._respond(
-            writer,
-            404,
-            {"error": "NotFound", "message": f"no route for {method} {path}"},
-            keep_alive=keep_alive,
-        )
-        return keep_alive
-
-    async def _handle_quote(
-        self, body: bytes, writer: asyncio.StreamWriter, keep_alive: bool
-    ) -> None:
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-            if not isinstance(payload, dict):
-                raise ValidationError("quote body must be a JSON object")
-            if "rows" not in payload:
-                raise ValidationError('quote body needs a "rows" field')
-            quote = await self.quote(payload["rows"], payload.get("deadline"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            await self._respond(
-                writer,
-                400,
-                {"error": "ValidationError", "message": f"bad JSON body: {exc}"},
-                keep_alive=keep_alive,
-            )
-            return
-        except ReproError as exc:
-            await self._respond(
-                writer,
-                _status_of(exc),
-                {"error": type(exc).__name__, "message": str(exc)},
-                keep_alive=keep_alive,
-            )
-            return
+    async def _handle_quote(self, request, writer, keep_alive: bool) -> None:
+        payload = json_body(request[3], "quote", "rows")
+        quote = await self.quote(payload["rows"], payload.get("deadline"))
         payments = np.asarray(quote.payments, dtype=np.float64)
         await self._respond(
             writer,
@@ -959,71 +359,63 @@ class QuoteServer:
             fingerprint=quote.fingerprint,
         )
 
-    async def _handle_reload(
-        self, body: bytes, writer: asyncio.StreamWriter, keep_alive: bool
-    ) -> None:
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-            if not isinstance(payload, dict) or "path" not in payload:
-                raise ValidationError('reload body needs a "path" field')
-            previous, current = await self.reload(payload["path"])
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            await self._respond(
-                writer,
-                400,
-                {"error": "ValidationError", "message": f"bad JSON body: {exc}"},
-                keep_alive=keep_alive,
-            )
-            return
-        except ReproError as exc:
-            payload = {"error": type(exc).__name__, "message": str(exc)}
-            if isinstance(exc, ReloadConflictError):
-                payload["in_flight_path"] = exc.in_flight_path
-            await self._respond(
-                writer, _status_of(exc), payload, keep_alive=keep_alive
-            )
-            return
-        await self._respond(
-            writer,
-            200,
-            {"previous_fingerprint": previous, "fingerprint": current},
-            keep_alive=keep_alive,
-            fingerprint=current,
-        )
+    # ---------------------------------------------------------------- reload
+    async def _land(self, source) -> dict:
+        """Swap in *source* by a single reference, built fully off-loop.
 
-    async def _handle_refit(
-        self, body: bytes, writer: asyncio.StreamWriter, keep_alive: bool
-    ) -> None:
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-            if not isinstance(payload, dict) or "delta" not in payload:
-                raise ValidationError('refit body needs a "delta" field')
-            result = await self.refit(
-                payload["delta"], payload.get("drift_threshold")
-            )
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            await self._respond(
-                writer,
-                400,
-                {"error": "ValidationError", "message": f"bad JSON body: {exc}"},
-                keep_alive=keep_alive,
-            )
-            return
-        except ReproError as exc:
-            payload = {"error": type(exc).__name__, "message": str(exc)}
-            if isinstance(exc, ReloadConflictError):
-                payload["in_flight_path"] = exc.in_flight_path
-            await self._respond(
-                writer, _status_of(exc), payload, keep_alive=keep_alive
-            )
-            return
-        await self._respond(
-            writer,
-            200,
-            result,
-            keep_alive=keep_alive,
-            fingerprint=result["fingerprint"],
-        )
+        The replacement is loaded and precomputed **before** the swap, so
+        a failure anywhere — unreadable file, corrupted payload,
+        fingerprint mismatch, an injected ``reload`` fault — leaves the
+        old state serving, untouched.
+        """
+        loop = asyncio.get_running_loop()
+        new_state = await loop.run_in_executor(None, self._coerce_state, source)
+        if faults.fire("reload") is not None:
+            raise ReloadError("injected reload fault; previous state retained")
+        previous = self._state
+        # Single-reference swap: in-flight batches keep the state they
+        # captured; the batcher re-prepares stale tickets on its next
+        # batch against whatever this reference points at then.
+        self._state = new_state
+        return {
+            "previous_fingerprint": None if previous is None else previous.fingerprint,
+            "fingerprint": new_state.fingerprint,
+        }
+
+    # ---------------------------------------------------------------- health
+    def _health(self) -> tuple[str, dict, dict]:
+        state = self._state
+        if state is None:
+            status = "unloaded"
+        elif self.batcher.last_batch_degraded:
+            status = "degraded"
+        else:
+            status = "serving"
+        detail = {
+            "queue": {
+                "waiting": self.admission.waiting,
+                "depth": self.admission.depth,
+                "saturated": self.admission.saturated,
+            },
+        }
+        if state is not None:
+            detail["solution"] = {
+                "algorithm": state.algorithm,
+                "strategy": state.strategy,
+                "n_items": state.n_items,
+                "n_offers": len(state.offers),
+            }
+        counters = {
+            "admitted": self.admission.admitted,
+            "shed": self.admission.shed,
+            "batches": self.batcher.batches,
+            "quotes": self.batcher.quotes,
+            "expired": self.batcher.expired,
+            "failed": self.batcher.failed,
+            "degraded_batches": self.batcher.degraded_batches,
+            "deadline_timeouts": self.deadline_timeouts,
+        }
+        return status, detail, counters
 
     # ---------------------------------------------------------------- metrics
     def export_gauges(self, registry) -> None:
@@ -1058,34 +450,6 @@ class QuoteServer:
                     "Kupfer bundle-vs-separate revenue ratio of the menu.",
                 ).set(ratio)
 
-    async def _handle_metrics(
-        self, writer: asyncio.StreamWriter, keep_alive: bool
-    ) -> None:
-        registry = obs.metrics_registry()
-        if registry is None:
-            await self._respond(
-                writer,
-                404,
-                {
-                    "error": "MetricsDisabled",
-                    "message": (
-                        "metrics are off; start with --metrics (or call "
-                        "repro.obs.enable_metrics()) to expose Prometheus series"
-                    ),
-                },
-                keep_alive=keep_alive,
-            )
-            return
-        self.export_gauges(registry)
-        body = registry.render().encode("utf-8")
-        await write_http_response(
-            writer,
-            200,
-            body,
-            keep_alive=keep_alive,
-            content_type=obs.EXPOSITION_CONTENT_TYPE,
-        )
-
     def retry_after_seconds(self) -> int:
         """The 429 ``Retry-After`` estimate, from live queue state.
 
@@ -1105,37 +469,9 @@ class QuoteServer:
         estimate = math.ceil(batches_ahead * per_batch)
         return max(1, min(MAX_RETRY_AFTER, estimate))
 
-    async def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: dict,
-        *,
-        keep_alive: bool,
-        fingerprint: str | None = None,
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        stamp = fingerprint if fingerprint is not None else self.fingerprint
-        extra = []
-        if stamp is not None:
-            extra.append(f"X-Solution-Fingerprint: {stamp}")
-        if status == 429:
-            extra.append(f"Retry-After: {self.retry_after_seconds()}")
-        await write_http_response(
-            writer, status, body, keep_alive=keep_alive, extra_headers=extra
-        )
-
     def __repr__(self) -> str:
         fp = self.fingerprint
         return (
             f"QuoteServer(fingerprint={fp[:12] + '...' if fp else None}, "
             f"deadline={self.deadline}, queue_depth={self.admission.depth})"
         )
-
-
-class _MalformedRequest(Exception):
-    """Internal: the request could not be parsed (HTTP 400, close)."""
-
-
-class _BodyTooLarge(Exception):
-    """Internal: declared Content-Length over the limit (HTTP 413, close)."""

@@ -1,8 +1,24 @@
 """The serving fleet: N supervised worker processes behind one socket.
 
-:class:`ServingSupervisor` scales the single-process
-:class:`~repro.serving.server.QuoteServer` across processes without giving
-up one bit of the serving invariant:
+:class:`ServingSupervisor` is the second user of
+:class:`~repro.serving.front.HttpFront` (the single-process
+:class:`~repro.serving.server.QuoteServer` is the first): the connection
+loop, routes, drain, metrics and the reload/refit control plane are the
+same code in both.  The fleet supplies the two strategies that differ:
+
+* **a quote is proxied** — :meth:`~ServingSupervisor._route` picks the
+  least-loaded healthy worker and :meth:`~ServingSupervisor._relay`
+  forwards its reply byte for byte;
+* **a new menu lands by a verified rolling rotation** — publish the new
+  menu blocks, take one worker out of rotation at a time (never the last
+  ready one), swap its state over the pipe, verify its
+  ``X-Solution-Fingerprint`` over HTTP, rotate it back in, and roll every
+  rotated worker back if any step fails.  ``/quote`` never answers 503
+  during a rotation, and every response carries exactly one of the two
+  valid fingerprints.  A refitted solution is first saved next to the
+  base one as ``<solution>.refit<N>.json`` and rotated in from there.
+
+Around those strategies the fleet keeps its own backend:
 
 * **One state copy.** The supervisor precomputes the solution's menu-side
   arrays once and publishes them through a
@@ -11,39 +27,18 @@ up one bit of the serving invariant:
   zero-copy instead of materializing a private menu.  Shared or private,
   the arrays hold the same bits, so every fleet response stays
   bit-identical to cold ``solution.quote()``.
-* **Crash recovery.** The supervisor owns the listening socket and proxies
-  each request to the least-loaded healthy worker.  A worker that dies —
-  process exit, heartbeat silence past the timeout, or the
-  ``worker_crash`` fault SIGKILLing it mid-batch — is detected by the
-  supervision tick, its in-flight requests are retried on a sibling
-  (within a route budget, so clients never see the crash), and the slot is
-  respawned with exponential backoff.
-* **Circuit breaking.** Each worker carries a
-  :class:`CircuitBreaker` (closed → open after ``breaker_threshold``
-  consecutive routed failures → half-open probe after a cooldown →
-  closed on success).  Routing skips open breakers; when every live
-  worker's breaker is open, the route fails with
-  :class:`~repro.errors.CircuitOpenError` (503) rather than hammering
-  known-bad processes.
-* **Rolling reload.** ``POST /reload`` rotates workers one at a time:
-  publish the new menu blocks, take a worker out of rotation (never the
-  last ready one), swap its state over the pipe, verify the worker's
-  ``X-Solution-Fingerprint`` over HTTP before rotating it back in.
-  ``/quote`` never answers 503 during a reload, and every response is
-  stamped by exactly one of the two valid fingerprints — never a mix
-  within one response, and never the old one once rotation completes.
-  A concurrent reload answers 409 with the in-flight target.
-* **Incremental refit.** ``POST /refit`` (requires the fleet to be
-  started with the fitted population) runs
-  :meth:`~repro.api.solver.BundlingSolver.refit` off-loop — warm
-  incremental re-pricing with a drift-gated cold fallback — saves the
-  refitted artifact next to the current one, and rotates it in through
-  the exact rolling-reload machinery above, under the same lock (a
-  concurrent reload or refit answers 409).  On success the in-memory
-  population advances past the delta, so refits compound.
-* **Graceful drain.** First SIGTERM: stop accepting, finish in-flight
-  proxied requests up to ``drain_timeout``, drain the workers, exit 0.
-  Second SIGTERM aborts immediately (exit 143).
+* **Crash recovery.** A worker that dies — process exit, heartbeat
+  silence past the timeout, or the ``worker_crash`` fault SIGKILLing it
+  mid-batch — is detected by the supervision tick, its in-flight requests
+  are retried on a sibling (within a route budget, so clients never see
+  the crash), and the slot is respawned with exponential backoff.
+* **Circuit breaking.** Each worker carries a :class:`CircuitBreaker`
+  (closed → open after ``breaker_threshold`` consecutive routed failures
+  → half-open probe after a cooldown → closed on success).  When every
+  live worker's breaker is open, the route fails with
+  :class:`~repro.errors.CircuitOpenError` (503).
+* **Drain.** A drain finishes in-flight proxied requests, then tells each
+  worker to drain itself.
 
 Fault sites consulted here: ``route`` (treat the picked worker as failed
 without contacting it — deterministic breaker food); the workers consult
@@ -54,11 +49,8 @@ without contacting it — deterministic breaker food); the workers consult
 from __future__ import annotations
 
 import asyncio
-import json
-import math
 import multiprocessing
 import os
-import signal
 import time
 
 from repro import obs
@@ -66,21 +58,17 @@ from repro.core import faults
 from repro.core.shm import SharedWTPStore
 from repro.errors import (
     CircuitOpenError,
-    ReloadConflictError,
     ReloadError,
-    ServingError,
     ValidationError,
     WorkerCrashError,
 )
-from repro.serving.server import (
-    _HEADER_LIMIT,
-    DEFAULT_MAX_BODY,
-    _BodyTooLarge,
-    _MalformedRequest,
-    _status_of,
-    read_http_request,
-    write_http_response,
-)
+from repro.serving.front import HttpFront
+from repro.serving.server import _HEADER_LIMIT, DEFAULT_MAX_BODY, write_http_response
+
+# The shared front reads the fleet's requests through repro.serving.server;
+# the name stays importable here because perfbench/launch.py wraps the
+# fleet's edge by this module's names.
+from repro.serving.server import read_http_request  # noqa: F401
 from repro.serving.state import ServingState
 from repro.serving.worker import DEFAULT_HEARTBEAT_INTERVAL, worker_main
 
@@ -186,7 +174,7 @@ class WorkerHandle:
         return self.process is not None and self.process.is_alive()
 
 
-class ServingSupervisor:
+class ServingSupervisor(HttpFront):
     """N supervised quote workers behind one listening socket.
 
     Parameters mirror :class:`~repro.serving.server.QuoteServer` where
@@ -195,7 +183,8 @@ class ServingSupervisor:
     ``heartbeat_timeout`` (liveness), ``breaker_threshold`` /
     ``breaker_cooldown`` (per-worker circuit breaker), ``route_budget``
     (wall-clock a single request may spend failing over before the
-    client sees an error), and ``drain_timeout``.
+    client sees an error), and ``drain_timeout``.  ``population`` is read
+    at construction, as the single server reads it.
     """
 
     def __init__(
@@ -220,11 +209,13 @@ class ServingSupervisor:
     ) -> None:
         if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
             raise ValidationError(f"workers must be a positive int, got {workers!r}")
+        super().__init__(
+            read_timeout=read_timeout,
+            max_body_bytes=max_body_bytes,
+            drain_timeout=drain_timeout,
+            population=population,
+        )
         self._path = os.fspath(path)
-        #: Fitted-population source for /refit (path / matrix / None);
-        #: loaded lazily off-loop on the first refit.
-        self._population_source = population
-        self._population = None
         #: Refitted artifacts are saved as ``<base>.refit<N>.json`` so the
         #: chain never grows the filename, however many refits land.
         self._refit_base = self._path
@@ -237,15 +228,12 @@ class ServingSupervisor:
         self.breaker_threshold = int(breaker_threshold)
         self.breaker_cooldown = float(breaker_cooldown)
         self.route_budget = float(route_budget)
-        self.drain_timeout = float(drain_timeout)
-        self.max_body_bytes = int(max_body_bytes)
-        self.read_timeout = float(read_timeout)
         self._worker_options = {
             "deadline": float(deadline),
             "queue_depth": int(queue_depth),
             "batch_window": float(batch_window),
             "max_batch": int(max_batch),
-            "read_timeout": float(read_timeout),
+            "read_timeout": self.read_timeout,
             "heartbeat_interval": self.heartbeat_interval,
             "drain_timeout": self.drain_timeout,
         }
@@ -257,36 +245,24 @@ class ServingSupervisor:
             WorkerHandle(i, CircuitBreaker(self.breaker_threshold, self.breaker_cooldown))
             for i in range(workers)
         ]
-        self.fingerprint: str | None = None
         self._blocks = None
         #: One store per published menu generation; the old generation is
         #: unlinked once a rolling reload fully rotates (mappings held by
         #: workers survive the unlink until they detach).
         self._stores: list[SharedWTPStore] = []
         self._generation = 0
-        self._server: asyncio.base_events.Server | None = None
         self._tick_task: asyncio.Task | None = None
         self._respawn_tasks: set[asyncio.Task] = set()
-        self._connections: set[asyncio.StreamWriter] = set()
-        self._reload_lock: asyncio.Lock | None = None
-        self._reload_target: str | None = None
-        self.draining = False
-        self._started_at = time.monotonic()
-        self.requests = 0
         self.routed = 0
         self.route_retries = 0
         self.worker_deaths = 0
         self.heartbeat_timeouts = 0
         self.respawns = 0
         self.spawn_retries = 0
-        self.reloads = 0
-        self.reload_failures = 0
-        self.last_reload_error: str | None = None
-        self.refits = 0
-        self.refit_failures = 0
-        self.last_refit_error: str | None = None
-        #: In-flight client requests (the drain condition).
-        self._in_flight = 0
+
+    @property
+    def ready(self) -> bool:
+        return any(h.phase == "ready" for h in self.handles)
 
     # ----------------------------------------------------------------- publish
     def _publish(self, path) -> tuple[ServingState, object]:
@@ -464,37 +440,33 @@ class ServingSupervisor:
             self._drain_pipe(handle, now)
             if handle.phase == "ready":
                 if not handle.alive():
-                    self.worker_deaths += 1
-                    self._count_death(handle)
-                    handle.phase = "dead"
                     handle.breaker.record_failure(now)
-                    self._reap(handle)
-                    self._schedule_respawn(handle)
+                    self._declare_dead(handle)
                 elif now - handle.last_heartbeat > self.heartbeat_timeout:
                     # Silent worker: the process is technically alive but
                     # not talking — kill it and start over.
                     self.heartbeat_timeouts += 1
-                    self.worker_deaths += 1
-                    self._count_death(handle)
                     obs.counter_inc(
                         "repro_worker_heartbeat_timeouts_total",
                         help="Workers killed for heartbeat silence.",
                         labelnames=("slot",),
                         slot=str(handle.index),
                     )
-                    handle.phase = "dead"
                     handle.breaker.record_failure(now)
-                    self._reap(handle, kill=True)
-                    self._schedule_respawn(handle)
+                    self._declare_dead(handle, kill=True)
 
-    @staticmethod
-    def _count_death(handle: WorkerHandle) -> None:
+    def _declare_dead(self, handle: WorkerHandle, kill: bool = False) -> None:
+        """Count a ready slot's worker as dead, reap it, schedule a respawn."""
+        self.worker_deaths += 1
         obs.counter_inc(
             "repro_worker_deaths_total",
             help="Worker deaths detected (process exit or silence).",
             labelnames=("slot",),
             slot=str(handle.index),
         )
+        handle.phase = "dead"
+        self._reap(handle, kill=kill)
+        self._schedule_respawn(handle)
 
     def _drain_pipe(self, handle: WorkerHandle, now: float) -> None:
         conn = handle.conn
@@ -516,17 +488,14 @@ class ServingSupervisor:
             # Pipe gone: the liveness check below this tick handles it.
             pass
 
-    # ---------------------------------------------------------------- control
-    async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
-        """Publish the menu, spawn the fleet, open the listening socket."""
-        self._reload_lock = asyncio.Lock()
-        self._started_at = time.monotonic()
-        self.draining = False
+    # ---------------------------------------------------------------- backend
+    async def _start_backend(self) -> None:
+        """Publish the menu, then boot every worker slot concurrently."""
         loop = asyncio.get_running_loop()
-        state, self._blocks = await loop.run_in_executor(
+        self._state, self._blocks = await loop.run_in_executor(
             None, self._publish, self._path
         )
-        self.fingerprint = state.fingerprint
+        self._check_population()
 
         async def _start_slot(handle: WorkerHandle) -> None:
             attempts = 0
@@ -555,26 +524,33 @@ class ServingSupervisor:
                     min(MAX_SPAWN_BACKOFF, SPAWN_BACKOFF * (2.0 ** attempts))
                 )
 
-        try:
-            # All slots boot concurrently — interpreter start-up dominates
-            # fleet launch, so serializing it would double the latency.
-            results = await asyncio.gather(
-                *(_start_slot(handle) for handle in self.handles),
-                return_exceptions=True,
-            )
-            for outcome in results:
-                if isinstance(outcome, BaseException):
-                    raise outcome
-        except BaseException:
-            await self._shutdown_workers(graceful=False)
-            self._close_stores()
-            raise
-        self._server = await asyncio.start_server(
-            self._handle_connection, host, port, limit=_HEADER_LIMIT
+        # All slots boot concurrently — interpreter start-up dominates
+        # fleet launch, so serializing it would double the latency.
+        results = await asyncio.gather(
+            *(_start_slot(handle) for handle in self.handles),
+            return_exceptions=True,
         )
+        for outcome in results:
+            if isinstance(outcome, BaseException):
+                raise outcome
         self._tick_task = asyncio.ensure_future(self._tick_loop())
-        bound = self._server.sockets[0].getsockname()
-        return bound[0], bound[1]
+
+    async def _stop_backend(self, graceful: bool) -> None:
+        """Stop supervising, stop the workers, unlink every menu block."""
+        if self._tick_task is not None:
+            self._tick_task.cancel()
+            try:
+                await self._tick_task
+            except asyncio.CancelledError:
+                pass
+            self._tick_task = None
+        await self._shutdown_workers(graceful=graceful)
+        while self._stores:
+            store = self._stores.pop()
+            try:
+                store.close()
+            except Exception:  # pragma: no cover - best-effort cleanup
+                pass
 
     async def _shutdown_workers(self, graceful: bool) -> None:
         for task in list(self._respawn_tasks):
@@ -610,106 +586,6 @@ class ServingSupervisor:
         for handle in self.handles:
             handle.phase = "dead" if handle.phase != "failed" else "failed"
             self._reap(handle, kill=True)
-
-    def _close_stores(self) -> None:
-        while self._stores:
-            store = self._stores.pop()
-            try:
-                store.close()
-            except Exception:  # pragma: no cover - best-effort cleanup
-                pass
-
-    async def stop(self, graceful: bool = True) -> None:
-        """Stop the fleet: listener, workers, stores (idempotent)."""
-        self.draining = True
-        if self._tick_task is not None:
-            self._tick_task.cancel()
-            try:
-                await self._tick_task
-            except asyncio.CancelledError:
-                pass
-            self._tick_task = None
-        if self._server is not None:
-            self._server.close()
-            for writer in list(self._connections):
-                try:
-                    writer.close()
-                except OSError:  # pragma: no cover
-                    pass
-            await self._server.wait_closed()
-            self._server = None
-        await self._shutdown_workers(graceful=graceful)
-        self._close_stores()
-
-    async def drain(self, timeout: float | None = None) -> bool:
-        """Refuse new work, finish in-flight proxied requests, stop."""
-        if timeout is None:
-            timeout = self.drain_timeout
-        self.draining = True
-        if self._server is not None:
-            self._server.close()
-        loop = asyncio.get_running_loop()
-        deadline_at = loop.time() + float(timeout)
-        clean = True
-        while self._in_flight > 0:
-            if loop.time() >= deadline_at:
-                clean = False
-                break
-            await asyncio.sleep(0.005)
-        await self.stop(graceful=True)
-        return clean
-
-    async def serve_forever(
-        self, host: str, port: int, *, banner=None, drain_timeout: float | None = None
-    ) -> int:
-        """Run until SIGINT (fast stop) or SIGTERM (drain; second aborts)."""
-        if drain_timeout is None:
-            drain_timeout = self.drain_timeout
-        bound_host, bound_port = await self.start(host, port)
-        if banner is not None:
-            banner(bound_host, bound_port)
-        loop = asyncio.get_running_loop()
-        stop = loop.create_future()
-        abort = loop.create_future()
-
-        def _request_stop(kind: str) -> None:
-            if stop.done():
-                if kind == "drain" and not abort.done():
-                    abort.set_result(None)
-                return
-            stop.set_result(kind)
-
-        installed = []
-        for sig, kind in ((signal.SIGINT, "stop"), (signal.SIGTERM, "drain")):
-            try:
-                loop.add_signal_handler(sig, _request_stop, kind)
-                installed.append(sig)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-        try:
-            kind = await stop
-            if kind != "drain":
-                await self.stop(graceful=False)
-                return 0
-            drain_task = asyncio.ensure_future(self.drain(drain_timeout))
-            await asyncio.wait(
-                {drain_task, abort}, return_when=asyncio.FIRST_COMPLETED
-            )
-            if not drain_task.done():
-                drain_task.cancel()
-                try:
-                    await drain_task
-                except asyncio.CancelledError:
-                    pass
-                await self.stop(graceful=False)
-                return 143
-            return 0
-        finally:
-            for sig in installed:
-                loop.remove_signal_handler(sig)
-            if not abort.done():
-                abort.cancel()
-            await self.stop(graceful=False)
 
     # ---------------------------------------------------------------- routing
     def _pick(self, now: float) -> WorkerHandle | None:
@@ -831,11 +707,7 @@ class ServingSupervisor:
                     # open it in microseconds and shed load the respawn is
                     # about to absorb.
                     if handle.phase == "ready":
-                        self.worker_deaths += 1
-                        self._count_death(handle)
-                        handle.phase = "dead"
-                        self._reap(handle)
-                        self._schedule_respawn(handle)
+                        self._declare_dead(handle)
                     await asyncio.sleep(0.02)
                     continue
                 # Alive but torn/hung/refusing: record and fail over; the
@@ -862,56 +734,45 @@ class ServingSupervisor:
         )
 
     # ----------------------------------------------------------------- reload
-    async def reload(self, path) -> tuple[str | None, str]:
-        """Rolling zero-downtime reload; returns (old, new) fingerprints."""
-        lock = self._reload_lock
-        if lock is None:
-            self._reload_lock = lock = asyncio.Lock()
-        if lock.locked():
-            raise ReloadConflictError(self._reload_target)
-        async with lock:
-            self._reload_target = os.fspath(path)
-            try:
-                return await self._rolling_reload(os.fspath(path))
-            finally:
-                self._reload_target = None
+    async def _land(self, source) -> dict:
+        """Rotate the fleet onto *source*, one verified worker at a time.
 
-    async def _rolling_reload(self, path: str) -> tuple[str | None, str]:
+        *source* is a solution path, or a refitted ``BundlingSolution``,
+        which is first saved as ``<solution>.refit<N>.json`` (its path is
+        returned under ``"path"``).  A failed rotation rolls every rotated
+        worker back onto the old menu before raising.
+        """
         loop = asyncio.get_running_loop()
-        try:
-            new_state, new_blocks = await loop.run_in_executor(
-                None, self._publish, path
-            )
-        except Exception as exc:
-            self.reload_failures += 1
-            self.last_reload_error = str(exc)
-            raise ReloadError(
-                f"reload failed; previous menu retained: {exc}"
-            ) from exc
+        landed = {}
+        if not (isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")):
+            self._refit_seq += 1
+            landed["path"] = f"{self._refit_base}.refit{self._refit_seq}.json"
+            await loop.run_in_executor(None, source.save, landed["path"])
+            source = landed["path"]
+        path = os.fspath(source)
+        new_state, new_blocks = await loop.run_in_executor(None, self._publish, path)
+        old_state, old_path, old_blocks = self._state, self._path, self._blocks
         old_fingerprint = self.fingerprint
-        old_path, old_blocks = self._path, self._blocks
         old_store = self._stores[-2] if len(self._stores) > 1 else None
         new_store = self._stores[-1]
         # Point respawns at the new menu *before* rotating: a worker that
         # crashes mid-rotation comes back already on the new fingerprint
         # (one of the two valid ones), never on a third.
-        self._path, self._blocks = path, new_blocks
-        self.fingerprint = new_state.fingerprint
+        self._state, self._path, self._blocks = new_state, path, new_blocks
         rotated: list[WorkerHandle] = []
         try:
             for handle in list(self.handles):
                 if handle.phase != "ready":
                     continue  # dead/starting slots respawn onto the new menu
-                if handle.fingerprint == new_state.fingerprint:
-                    rotated.append(handle)
-                    continue
-                await self._rotate_worker(handle, path, new_blocks, new_state.fingerprint)
+                if handle.fingerprint != new_state.fingerprint:
+                    await self._rotate_worker(
+                        handle, path, new_blocks, new_state.fingerprint
+                    )
                 rotated.append(handle)
         except BaseException as exc:
             # Roll back: restore the old menu for respawns and rotate the
             # already-swapped workers back (best effort).
-            self._path, self._blocks = old_path, old_blocks
-            self.fingerprint = old_fingerprint
+            self._state, self._path, self._blocks = old_state, old_path, old_blocks
             for handle in rotated:
                 try:
                     await self._rotate_worker(
@@ -920,10 +781,6 @@ class ServingSupervisor:
                 except Exception:  # pragma: no cover - double fault
                     pass
             self._retire_store(new_store)
-            self.reload_failures += 1
-            self.last_reload_error = str(exc)
-            if isinstance(exc, ReloadError):
-                raise
             raise ReloadError(
                 f"rolling reload failed; previous menu restored: {exc}"
             ) from exc
@@ -932,118 +789,11 @@ class ServingSupervisor:
             # the unlink until they detach, so even a stale in-flight
             # batch stays safe).
             self._retire_store(old_store)
-        self.reloads += 1
-        self.last_reload_error = None
-        return old_fingerprint, new_state.fingerprint
-
-    # ------------------------------------------------------------------ refit
-    def _refit_offline(self, delta, drift_threshold):
-        """The blocking half of :meth:`refit` (runs in the executor).
-
-        Loads the population lazily on first use, runs the solver refit,
-        saves the refitted artifact next to the base solution, and returns
-        ``(report, new_path, new_population)`` for the event loop to
-        rotate in.
-        """
-        from repro.api.solution import BundlingSolution
-        from repro.api.solver import BundlingSolver
-        from repro.core.delta import PopulationDelta
-        from repro.serving.server import QuoteServer
-
-        if self._population is None:
-            if self._population_source is None:
-                raise ValidationError(
-                    "refit requires the fitted population; start the fleet "
-                    "with population= (CLI: serve --workers N --wtp "
-                    "population.npz)"
-                )
-            self._population = QuoteServer._coerce_population(
-                self._population_source
-            )
-        if isinstance(delta, dict):
-            delta = PopulationDelta.from_dict(delta)
-        if not isinstance(delta, PopulationDelta):
-            raise ValidationError(
-                f"refit delta must be a PopulationDelta or dict, got "
-                f"{type(delta).__name__}"
-            )
-        solution = BundlingSolution.load(self._path)
-        solver = BundlingSolver(solution.algorithm_spec, solution.engine_config)
-        report = solver.refit(
-            solution, self._population, delta, drift_threshold=drift_threshold
-        )
-        self._refit_seq += 1
-        new_path = f"{self._refit_base}.refit{self._refit_seq}.json"
-        report.solution.save(new_path)
-        return report, new_path, delta.apply(self._population)
-
-    async def refit(self, delta, drift_threshold: float | None = None) -> dict:
-        """Warm-refit the fleet's solution and rotate it in without downtime.
-
-        Computes the refit off-loop, persists the refitted artifact, then
-        runs the exact :meth:`reload` rotation against it (repoint-before-
-        rotate, per-worker fingerprint verification, rollback on failure)
-        — all under the reload lock, so reloads and refits serialize and
-        the loser answers 409.  The population only advances once the
-        rotation fully lands; a failed rotation leaves both the old menu
-        and the old population serving.
-        """
-        lock = self._reload_lock
-        if lock is None:
-            self._reload_lock = lock = asyncio.Lock()
-        if lock.locked():
-            raise ReloadConflictError(self._reload_target)
-        async with lock:
-            self._reload_target = "refit"
-            loop = asyncio.get_running_loop()
-            started = time.monotonic()
-            try:
-                try:
-                    report, new_path, new_population = await loop.run_in_executor(
-                        None, self._refit_offline, delta, drift_threshold
-                    )
-                    previous, current = await self._rolling_reload(new_path)
-                except (ReloadError, ValidationError, ServingError, OSError) as exc:
-                    self.refit_failures += 1
-                    self.last_refit_error = str(exc)
-                    obs.counter_inc(
-                        "repro_refit_failures_total",
-                        help="Refits that failed before the state swap.",
-                    )
-                    raise
-                self._population = new_population
-                self.refits += 1
-                self.last_refit_error = None
-                obs.counter_inc(
-                    "repro_refit_total",
-                    help="Refits applied, by warm/cold mode.",
-                    labelnames=("mode",),
-                    mode=report.mode,
-                )
-                obs.observe(
-                    "repro_refit_duration_seconds",
-                    time.monotonic() - started,
-                    help="Wall time per refit (warm re-price plus any cold fallback).",
-                    buckets=obs.REFIT_DURATION_BUCKETS,
-                )
-                return {
-                    "previous_fingerprint": previous,
-                    "fingerprint": current,
-                    "mode": report.mode,
-                    "drift": (
-                        float(report.drift)
-                        if math.isfinite(report.drift)
-                        else None
-                    ),
-                    "threshold": report.threshold,
-                    "n_added": report.n_added,
-                    "n_removed": report.n_removed,
-                    "n_users": new_population.n_users,
-                    "expected_revenue": report.solution.expected_revenue,
-                    "path": new_path,
-                }
-            finally:
-                self._reload_target = None
+        return {
+            "previous_fingerprint": old_fingerprint,
+            "fingerprint": new_state.fingerprint,
+            **landed,
+        }
 
     async def _rotate_worker(
         self, handle: WorkerHandle, path: str, blocks, expected: str
@@ -1063,6 +813,10 @@ class ServingSupervisor:
                 handle.conn.send(("reload", path, blocks))
             except (BrokenPipeError, OSError, AttributeError) as exc:
                 handle.reload_reply = None
+                if handle.phase == "ready":
+                    # The worker died before the command reached it; say
+                    # so now rather than at the next supervision tick.
+                    self._declare_dead(handle, kill=True)
                 raise ReloadError(
                     f"worker {handle.index} unreachable for reload: {exc}"
                 ) from exc
@@ -1081,22 +835,16 @@ class ServingSupervisor:
             handle.in_rotation = True
 
     # ---------------------------------------------------------------- health
-    def health(self) -> dict:
-        """The fleet ``/healthz`` payload — per-worker truth, live counters."""
+    def _health(self) -> tuple[str, dict, dict]:
+        """Per-worker truth and fleet counters for ``/healthz``."""
         ready = sum(1 for h in self.handles if h.phase == "ready")
-        if self.draining:
-            status = "draining"
-        elif ready == 0:
+        if ready == 0:
             status = "down"
         elif ready < len(self.handles):
             status = "degraded"
         else:
             status = "serving"
-        return {
-            "status": status,
-            "ready": ready > 0 and not self.draining,
-            "fingerprint": self.fingerprint,
-            "uptime_seconds": time.monotonic() - self._started_at,
+        detail = {
             "in_flight": self._in_flight,
             "workers": [
                 {
@@ -1115,82 +863,44 @@ class ServingSupervisor:
                 }
                 for h in self.handles
             ],
-            "counters": {
-                "requests": self.requests,
-                "routed": self.routed,
-                "route_retries": self.route_retries,
-                "worker_deaths": self.worker_deaths,
-                "heartbeat_timeouts": self.heartbeat_timeouts,
-                "respawns": self.respawns,
-                "spawn_retries": self.spawn_retries,
-                "reloads": self.reloads,
-                "reload_failures": self.reload_failures,
-                "refits": self.refits,
-                "refit_failures": self.refit_failures,
-            },
         }
+        counters = {
+            "routed": self.routed,
+            "route_retries": self.route_retries,
+            "worker_deaths": self.worker_deaths,
+            "heartbeat_timeouts": self.heartbeat_timeouts,
+            "respawns": self.respawns,
+            "spawn_retries": self.spawn_retries,
+        }
+        return status, detail, counters
 
     # ------------------------------------------------------------- HTTP edge
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    request = await asyncio.wait_for(
-                        read_http_request(reader, max_body_bytes=self.max_body_bytes),
-                        self.read_timeout,
-                    )
-                except asyncio.TimeoutError:
-                    await self._respond(
-                        writer,
-                        408,
-                        {
-                            "error": "RequestReadTimeout",
-                            "message": "request not received in time",
-                        },
-                        keep_alive=False,
-                    )
-                    return
-                except _BodyTooLarge as exc:
-                    await self._respond(
-                        writer,
-                        413,
-                        {"error": "PayloadTooLarge", "message": str(exc)},
-                        keep_alive=False,
-                    )
-                    return
-                except _MalformedRequest as exc:
-                    await self._respond(
-                        writer,
-                        400,
-                        {"error": "MalformedRequest", "message": str(exc)},
-                        keep_alive=False,
-                    )
-                    return
-                if request is None:
-                    return
-                self._in_flight += 1
-                try:
-                    keep_alive = await self._dispatch(request, writer)
-                finally:
-                    self._in_flight -= 1
-                if not keep_alive:
-                    return
-        except asyncio.CancelledError:
-            pass
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # pragma: no cover - peer vanished mid-exchange
-        finally:
-            self._connections.discard(writer)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError, asyncio.CancelledError):
-                pass
+    async def _handle_quote(self, request, writer, keep_alive: bool) -> None:
+        """Proxy one ``/quote`` to a worker and relay its reply verbatim."""
+        status, reply_headers, reply_body = await self._route(*request)
+        await self._relay(
+            writer, status, reply_headers, reply_body, keep_alive=keep_alive
+        )
 
-    _METRIC_ROUTES = ("/quote", "/reload", "/refit", "/healthz", "/readyz", "/metrics")
+    async def _relay(
+        self,
+        writer: asyncio.StreamWriter,
+        status: int,
+        reply_headers: dict,
+        reply_body: bytes,
+        *,
+        keep_alive: bool,
+    ) -> None:
+        """Forward a worker's response verbatim (body bytes untouched)."""
+        extra = []
+        for name in ("x-solution-fingerprint", "retry-after"):
+            if name in reply_headers:
+                pretty = "-".join(part.capitalize() for part in name.split("-"))
+                extra.append(f"{pretty}: {reply_headers[name]}")
+        await write_http_response(
+            writer, status, reply_body, keep_alive=keep_alive, extra_headers=extra
+        )
+
     _BREAKER_STATES = {"closed": 0, "half-open": 1, "open": 2}
 
     def export_gauges(self, registry) -> None:
@@ -1234,257 +944,14 @@ class ServingSupervisor:
                 slot=str(h.index),
             )
 
-    async def _handle_metrics(
-        self, writer: asyncio.StreamWriter, keep_alive: bool
-    ) -> None:
-        registry = obs.metrics_registry()
-        if registry is None:
-            await self._respond(
-                writer,
-                404,
-                {
-                    "error": "MetricsDisabled",
-                    "message": "metrics are not enabled; start with --metrics",
-                },
-                keep_alive=keep_alive,
-            )
-            return
-        self.export_gauges(registry)
-        # The supervisor's own families render first, then every live
-        # worker's last heartbeat snapshot with an injected worker label —
-        # the fleet-wide view behind one scrape endpoint.
-        snapshots = [
+    def _metric_snapshots(self) -> list:
+        # Every live worker's last heartbeat snapshot, with an injected
+        # worker label — the fleet-wide view behind one scrape endpoint.
+        return [
             (h.metrics_snapshot, {"worker": str(h.index)})
             for h in self.handles
             if h.metrics_snapshot is not None
         ]
-        text = obs.render_snapshots(snapshots, registry)
-        await write_http_response(
-            writer,
-            200,
-            text.encode("utf-8"),
-            keep_alive=keep_alive,
-            content_type=obs.EXPOSITION_CONTENT_TYPE,
-        )
-
-    async def _dispatch(self, request, writer: asyncio.StreamWriter) -> bool:
-        method, path, headers, body = request
-        keep_alive = headers.get("connection", "").lower() != "close"
-        if obs.metrics_enabled():
-            route = path if path in self._METRIC_ROUTES else "other"
-            obs.counter_inc(
-                "repro_http_requests_total",
-                help="HTTP requests by route and method.",
-                labelnames=("route", "method"),
-                route=route,
-                method=method,
-            )
-        if path == "/metrics" and method == "GET":
-            # Served even while draining: scrapes are how a drain is watched.
-            await self._handle_metrics(writer, keep_alive)
-            return keep_alive
-        if path == "/healthz" and method == "GET":
-            await self._respond(writer, 200, self.health(), keep_alive=keep_alive)
-            return keep_alive
-        if path == "/readyz" and method == "GET":
-            ready = (
-                not self.draining
-                and any(h.phase == "ready" for h in self.handles)
-            )
-            await self._respond(
-                writer,
-                200 if ready else 503,
-                {
-                    "ready": ready,
-                    "draining": self.draining,
-                    "fingerprint": self.fingerprint,
-                },
-                keep_alive=keep_alive,
-            )
-            return keep_alive
-        if path in ("/quote", "/reload", "/refit") and self.draining:
-            await self._respond(
-                writer,
-                503,
-                {
-                    "error": "ServerDraining",
-                    "message": "fleet is draining; not accepting new work",
-                },
-                keep_alive=False,
-            )
-            return False
-        if path == "/quote":
-            if method != "POST":
-                await self._respond(
-                    writer,
-                    405,
-                    {"error": "MethodNotAllowed", "message": "POST /quote"},
-                    keep_alive=keep_alive,
-                )
-                return keep_alive
-            try:
-                status, reply_headers, reply_body = await self._route(
-                    method, path, headers, body
-                )
-            except (WorkerCrashError, CircuitOpenError) as exc:
-                await self._respond(
-                    writer,
-                    _status_of(exc),
-                    {"error": type(exc).__name__, "message": str(exc)},
-                    keep_alive=keep_alive,
-                )
-                return keep_alive
-            await self._relay(
-                writer, status, reply_headers, reply_body, keep_alive=keep_alive
-            )
-            return keep_alive
-        if path == "/reload":
-            if method != "POST":
-                await self._respond(
-                    writer,
-                    405,
-                    {"error": "MethodNotAllowed", "message": "POST /reload"},
-                    keep_alive=keep_alive,
-                )
-                return keep_alive
-            await self._handle_reload(body, writer, keep_alive)
-            return keep_alive
-        if path == "/refit":
-            if method != "POST":
-                await self._respond(
-                    writer,
-                    405,
-                    {"error": "MethodNotAllowed", "message": "POST /refit"},
-                    keep_alive=keep_alive,
-                )
-                return keep_alive
-            await self._handle_refit(body, writer, keep_alive)
-            return keep_alive
-        await self._respond(
-            writer,
-            404,
-            {"error": "NotFound", "message": f"no route for {method} {path}"},
-            keep_alive=keep_alive,
-        )
-        return keep_alive
-
-    async def _handle_reload(
-        self, body: bytes, writer: asyncio.StreamWriter, keep_alive: bool
-    ) -> None:
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-            if not isinstance(payload, dict) or "path" not in payload:
-                raise ValidationError('reload body needs a "path" field')
-            previous, current = await self.reload(payload["path"])
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            await self._respond(
-                writer,
-                400,
-                {"error": "ValidationError", "message": f"bad JSON body: {exc}"},
-                keep_alive=keep_alive,
-            )
-            return
-        except ReloadConflictError as exc:
-            await self._respond(
-                writer,
-                409,
-                {
-                    "error": "ReloadConflictError",
-                    "message": str(exc),
-                    "in_flight_path": exc.in_flight_path,
-                },
-                keep_alive=keep_alive,
-            )
-            return
-        except (ReloadError, ValidationError, ServingError) as exc:
-            await self._respond(
-                writer,
-                _status_of(exc) if isinstance(exc, ValidationError) else 500,
-                {"error": type(exc).__name__, "message": str(exc)},
-                keep_alive=keep_alive,
-            )
-            return
-        await self._respond(
-            writer,
-            200,
-            {"previous_fingerprint": previous, "fingerprint": current},
-            keep_alive=keep_alive,
-        )
-
-    async def _handle_refit(
-        self, body: bytes, writer: asyncio.StreamWriter, keep_alive: bool
-    ) -> None:
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-            if not isinstance(payload, dict) or "delta" not in payload:
-                raise ValidationError('refit body needs a "delta" field')
-            result = await self.refit(
-                payload["delta"], payload.get("drift_threshold")
-            )
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            await self._respond(
-                writer,
-                400,
-                {"error": "ValidationError", "message": f"bad JSON body: {exc}"},
-                keep_alive=keep_alive,
-            )
-            return
-        except ReloadConflictError as exc:
-            await self._respond(
-                writer,
-                409,
-                {
-                    "error": "ReloadConflictError",
-                    "message": str(exc),
-                    "in_flight_path": exc.in_flight_path,
-                },
-                keep_alive=keep_alive,
-            )
-            return
-        except (ReloadError, ValidationError, ServingError) as exc:
-            await self._respond(
-                writer,
-                _status_of(exc) if isinstance(exc, ValidationError) else 500,
-                {"error": type(exc).__name__, "message": str(exc)},
-                keep_alive=keep_alive,
-            )
-            return
-        await self._respond(writer, 200, result, keep_alive=keep_alive)
-
-    async def _relay(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        reply_headers: dict,
-        reply_body: bytes,
-        *,
-        keep_alive: bool,
-    ) -> None:
-        """Forward a worker's response verbatim (body bytes untouched)."""
-        extra = []
-        for name in ("x-solution-fingerprint", "retry-after"):
-            if name in reply_headers:
-                pretty = "-".join(part.capitalize() for part in name.split("-"))
-                extra.append(f"{pretty}: {reply_headers[name]}")
-        await write_http_response(
-            writer, status, reply_body, keep_alive=keep_alive, extra_headers=extra
-        )
-
-    async def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: dict,
-        *,
-        keep_alive: bool,
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        extra = []
-        if self.fingerprint is not None:
-            extra.append(f"X-Solution-Fingerprint: {self.fingerprint}")
-        await write_http_response(
-            writer, status, body, keep_alive=keep_alive, extra_headers=extra
-        )
 
     def __repr__(self) -> str:
         ready = sum(1 for h in self.handles if h.phase == "ready")

@@ -720,3 +720,177 @@ class TestFleetRefit:
         assert health["counters"]["respawns"] >= 1
         # The population never advanced past the failed delta.
         assert health["counters"]["reload_failures"] >= 1
+
+
+# ============================================================ shared front
+async def _raw_exchange(host, port, raw: bytes):
+    """Send *raw* bytes; return (status, body) of the one reply and the EOF."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        if raw:
+            writer.write(raw)
+            await writer.drain()
+        head = (await reader.readuntil(b"\r\n\r\n")).split(b"\r\n")
+        status = int(head[0].split()[1])
+        length = 0
+        for line in head[1:]:
+            if line.lower().startswith(b"content-length:"):
+                length = int(line.split(b":", 1)[1])
+        body = json.loads(await reader.readexactly(length))
+        return status, body, await reader.read(1)
+    finally:
+        writer.close()
+
+
+class TestFleetEdge:
+    """The fleet answers edge framing exactly like the single server."""
+
+    def test_framing_statuses_counters_and_edge_histogram(self, fleet_solutions):
+        from repro import obs
+        from repro.obs.metrics import parse_exposition
+
+        _, _, first_path, _ = fleet_solutions
+        obs.enable_metrics()
+
+        async def main():
+            fleet = ServingSupervisor(
+                first_path, workers=2, read_timeout=0.2, max_body_bytes=1024
+            )
+            host, port = await fleet.start("127.0.0.1", 0)
+            try:
+                results = {
+                    "stalled": await _raw_exchange(
+                        host, port, b"GET /healthz HTTP/1.1\r\nHost: t\r\n"
+                    ),
+                    "too_large": await _raw_exchange(
+                        host, port,
+                        b"POST /quote HTTP/1.1\r\nContent-Length: 4096\r\n\r\n",
+                    ),
+                    "malformed": await _raw_exchange(host, port, b"garbage\r\n\r\n"),
+                }
+                results["bad_method"] = await _request(host, port, "GET", "/quote")
+                results["not_found"] = await _request(host, port, "GET", "/nope")
+                scrape = await _raw_get(host, port, "/metrics")
+                return results, scrape, fleet.health()
+            finally:
+                await fleet.stop()
+
+        results, (_, _, text), health = asyncio.run(main())
+        status, body, eof = results["stalled"]
+        assert (status, body["error"], eof) == (408, "RequestReadTimeout", b"")
+        status, body, eof = results["too_large"]
+        assert (status, body["error"], eof) == (413, "PayloadTooLarge", b"")
+        status, body, eof = results["malformed"]
+        assert (status, body["error"], eof) == (400, "MalformedRequest", b"")
+        assert results["bad_method"][0] == 405
+        assert results["bad_method"][2]["error"] == "MethodNotAllowed"
+        assert results["not_found"][0] == 404
+        assert results["not_found"][2]["error"] == "NotFound"
+        assert health["counters"]["read_timeouts"] == 1
+        # The supervisor's own edge histogram (no worker label) times its
+        # requests, next to the workers' labelled series.
+        samples = parse_exposition(text)["repro_http_request_seconds"]["samples"]
+        edge = [key for key in samples if 'route="/quote"' in key and "worker=" not in key]
+        assert any(key.startswith("repro_http_request_seconds_count") for key in edge)
+
+    def test_missing_population_fails_at_construction(self, fleet_solutions, tmp_path):
+        _, _, first_path, _ = fleet_solutions
+        with pytest.raises(OSError):
+            ServingSupervisor(first_path, population=str(tmp_path / "missing.npz"))
+
+    def test_cli_fleet_with_missing_population_fails_at_startup(
+        self, fleet_solutions, tmp_path
+    ):
+        import os
+        import subprocess
+        import sys
+
+        _, _, first_path, _ = fleet_solutions
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--solution", first_path,
+             "--workers", "2", "--port", "0",
+             "--wtp", str(tmp_path / "missing.npz")],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2
+        assert "cannot serve" in done.stderr
+
+    def test_refit_save_failure_is_a_typed_reply(
+        self, fleet_solutions, request_blocks, small_wtp, tmp_path
+    ):
+        """An OSError while landing a refit answers JSON, never a dropped socket."""
+        first, _, first_path, _ = fleet_solutions
+        delta = _fleet_delta(small_wtp)
+        rows = request_blocks[0]
+
+        async def main():
+            fleet = ServingSupervisor(first_path, workers=2, population=small_wtp)
+            fleet._refit_base = str(tmp_path / "no-such-dir" / "menu.json")
+            host, port = await fleet.start("127.0.0.1", 0)
+            try:
+                refitted = await _request(
+                    host, port, "POST", "/refit",
+                    {"delta": delta.to_dict(), "drift_threshold": 1e6},
+                )
+                quote = await _request(
+                    host, port, "POST", "/quote", {"rows": rows.tolist()}
+                )
+                return refitted, quote, fleet.health()
+            finally:
+                await fleet.stop()
+
+        refitted, quote, health = asyncio.run(main())
+        assert refitted[0] == 500
+        assert refitted[2]["error"] == "ReloadError"
+        assert "No such file" in refitted[2]["message"]
+        assert quote[0] == 200
+        assert quote[1]["x-solution-fingerprint"] == first.fingerprint()
+        _assert_payload_identical(quote[2], first.quote(rows))
+        assert health["counters"]["refit_failures"] == 1
+        assert health["population"] == {"n_users": small_wtp.n_users}
+
+    def test_busy_port_leaks_no_worker_and_no_block(self, fleet_solutions):
+        import socket
+
+        from repro.core.shm import active_shared_blocks
+
+        _, _, first_path, _ = fleet_solutions
+        before = set(active_shared_blocks())
+        holder = socket.socket()
+        holder.bind(("127.0.0.1", 0))
+        holder.listen(1)
+        port = holder.getsockname()[1]
+        fleet = ServingSupervisor(first_path, workers=2)
+
+        async def main():
+            await fleet.start("127.0.0.1", port)
+
+        try:
+            with pytest.raises(OSError):
+                asyncio.run(main())
+        finally:
+            holder.close()
+        assert all(h.process is None for h in fleet.handles)
+        assert set(active_shared_blocks()) == before
+
+    def test_busy_port_stops_the_single_server_batcher(self, fleet_solutions):
+        import socket
+
+        from repro.serving import QuoteServer
+
+        first, _, _, _ = fleet_solutions
+        holder = socket.socket()
+        holder.bind(("127.0.0.1", 0))
+        holder.listen(1)
+        server = QuoteServer(first)
+
+        async def main():
+            with pytest.raises(OSError):
+                await server.start("127.0.0.1", holder.getsockname()[1])
+            return server.batcher.running
+
+        try:
+            assert asyncio.run(main()) is False
+        finally:
+            holder.close()
